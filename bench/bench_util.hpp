@@ -268,11 +268,6 @@ void emit_blocking_record(JsonArrayWriter& out) {
   out.field("trsm_src", blocking_source_name(rb.trsm_src));
   out.field("qr_src", blocking_source_name(rb.qr_src));
   out.field("batch_src", blocking_source_name(rb.batch_src));
-  // The register-tile tie-breaker's inputs, as the resolver measured them
-  // (0 when the tile came from an override or the static rung) — so the
-  // JSON records WHY a tile was picked on this host.
-  out.field("tile_bench_wide_s", rb.tile_bench_wide_s);
-  out.field("tile_bench_compact_s", rb.tile_bench_compact_s);
   out.end_record();
 }
 }  // namespace detail

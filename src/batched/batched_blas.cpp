@@ -314,7 +314,7 @@ void getrs_nopivot_batched(std::span<const ConstMatrixView<T>> lu,
 namespace qr_stats {
 namespace {
 std::atomic<std::uint64_t> g_geqrf_sweeps{0}, g_thin_q_sweeps{0},
-    g_panel_launches{0};
+    g_panel_launches{0}, g_cholesky_fallbacks{0};
 }  // namespace
 std::uint64_t geqrf_batched_sweeps() {
   return g_geqrf_sweeps.load(std::memory_order_relaxed);
@@ -325,11 +325,20 @@ std::uint64_t thin_q_batched_sweeps() {
 std::uint64_t panel_launches() {
   return g_panel_launches.load(std::memory_order_relaxed);
 }
+std::uint64_t cholesky_fallbacks() {
+  return g_cholesky_fallbacks.load(std::memory_order_relaxed);
+}
 void reset() {
   g_geqrf_sweeps.store(0, std::memory_order_relaxed);
   g_thin_q_sweeps.store(0, std::memory_order_relaxed);
   g_panel_launches.store(0, std::memory_order_relaxed);
+  g_cholesky_fallbacks.store(0, std::memory_order_relaxed);
 }
+namespace detail {
+void add_cholesky_fallbacks(std::uint64_t n) {
+  g_cholesky_fallbacks.fetch_add(n, std::memory_order_relaxed);
+}
+}  // namespace detail
 }  // namespace qr_stats
 
 namespace {

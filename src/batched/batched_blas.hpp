@@ -105,7 +105,14 @@ std::uint64_t thin_q_batched_sweeps();
 /// Cross-batch panel launches (one pool dispatch factoring / forming the
 /// same panel index of EVERY problem).
 std::uint64_t panel_launches();
+/// Low-rank blocks whose Gram/Cholesky recompression broke down (a factor
+/// with numerically dependent columns) and fell back to Householder QR
+/// (lowrank/recompress.hpp).
+std::uint64_t cholesky_fallbacks();
 void reset();
+namespace detail {  // increment hook for the recompression drivers
+void add_cholesky_fallbacks(std::uint64_t n);
+}  // namespace detail
 }  // namespace qr_stats
 
 /// Batched in-place Householder QR of `batch` uniform m x n problems at a

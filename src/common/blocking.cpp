@@ -5,6 +5,7 @@
 #include <complex>
 #include <cstring>
 #include <mutex>
+#include <optional>
 
 #include "common/env.hpp"
 #include "common/gemm_kernel.hpp"
@@ -16,7 +17,6 @@ const char* blocking_source_name(BlockingSource s) {
     case BlockingSource::kStatic: return "static";
     case BlockingSource::kProbe: return "probe";
     case BlockingSource::kEnv: return "env";
-    case BlockingSource::kMicrobench: return "microbench";
   }
   return "?";
 }
@@ -105,15 +105,11 @@ ResolvedBlocking static_blocking() {
   return rb;        // every src field is kStatic
 }
 
-namespace {
-
-/// The cache/panel derivations of the model for an EXPLICIT register tile.
-/// Factored out of model_blocking so the first-use tie-breaker (resolve()
-/// below) can re-derive KC/MC/NC for the measured winner: KC is sized from
-/// mr + nr, so a tile switched after the derivation could overrun the L1
-/// streaming budget.
+/// The cache/panel derivations of the model for an EXPLICIT register tile:
+/// KC is sized from mr + nr, so a tile switched after the derivation could
+/// overrun the L1 streaming budget.
 template <typename T>
-ResolvedBlocking model_blocking_for_tile(const HwInfo& hw, TileDims tile) {
+ResolvedBlocking model_blocking(const HwInfo& hw, TileDims tile) {
   ResolvedBlocking rb = static_blocking<T>();
   rb.mr = tile.mr;
   rb.nr = tile.nr;
@@ -161,11 +157,9 @@ ResolvedBlocking model_blocking_for_tile(const HwInfo& hw, TileDims tile) {
   return rb;
 }
 
-}  // namespace
-
 template <typename T>
 ResolvedBlocking model_blocking(const HwInfo& hw) {
-  return model_blocking_for_tile<T>(hw, model_tile<T>(hw));
+  return model_blocking<T>(hw, model_tile<T>(hw));
 }
 
 namespace {
@@ -176,52 +170,26 @@ ResolvedBlocking resolve() {
   const bool autotune = parse_autotune();
   const HwInfo& hw = hwinfo();
   const bool probed = std::strcmp(hw.source, "default") != 0;
+  // The register tile: wide/compact by name (anything else falls through),
+  // else the model's feature-bit choice.
   const char* tile_env = std::getenv("HODLRX_GEMM_TILE");
-  const bool tile_forced = tile_env && *tile_env &&
-                           (env_is(tile_env, "wide") ||
-                            env_is(tile_env, "compact"));
+  std::optional<TileDims> forced;
+  if (tile_env && env_is(tile_env, "wide")) forced = GemmTiles<T>::kWide;
+  if (tile_env && env_is(tile_env, "compact")) forced = GemmTiles<T>::kCompact;
   ResolvedBlocking rb;
   if (autotune && probed) {
-    // Adaptive rung. The register tile is decided by MEASUREMENT when
-    // nothing forces it: both compiled variants run the same synthetic
-    // macro tile once per process (tile_microbench, cached) and the faster
-    // one wins, with the model's feature-bit choice as the tie-break seed.
-    // The cache fields are then derived FOR the winning tile — KC's L1
-    // streaming budget depends on mr + nr.
-    TileDims tile = model_tile<T>(hw);
-    TileBench tb;
-    bool benched = false;
-    if (!tile_forced) {
-      tb = tile_microbench<T>();
-      if (tb.wide_s > 0 && tb.compact_s > 0) {
-        tile = (tb.compact_s < tb.wide_s) ? GemmTiles<T>::kCompact
-                                          : GemmTiles<T>::kWide;
-        benched = true;
-      }
-    }
-    rb = model_blocking_for_tile<T>(hw, tile);
-    if (benched) {
-      rb.tile_src = BlockingSource::kMicrobench;
-      rb.tile_bench_wide_s = tb.wide_s;
-      rb.tile_bench_compact_s = tb.compact_s;
-    }
+    // Adaptive rung: the cache fields are derived FOR the selected tile.
+    rb = model_blocking<T>(hw, forced.value_or(model_tile<T>(hw)));
   } else {
     // With autotune on but a failed probe we sit on the static rung — the
     // model would only be re-deriving its own fallback constants.
     rb = static_blocking<T>();
-  }
-  // Tile override: wide/compact by name (anything else falls through).
-  if (tile_env && *tile_env) {
-    if (env_is(tile_env, "wide")) {
-      rb.mr = GemmTiles<T>::kWide.mr;
-      rb.nr = GemmTiles<T>::kWide.nr;
-      rb.tile_src = BlockingSource::kEnv;
-    } else if (env_is(tile_env, "compact")) {
-      rb.mr = GemmTiles<T>::kCompact.mr;
-      rb.nr = GemmTiles<T>::kCompact.nr;
-      rb.tile_src = BlockingSource::kEnv;
+    if (forced) {
+      rb.mr = forced->mr;
+      rb.nr = forced->nr;
     }
   }
+  if (forced) rb.tile_src = BlockingSource::kEnv;
   // Cache-level overrides (clamped so packing stays well formed against the
   // SELECTED tile: mc >= mr, nc >= nr).
   apply_env("HODLRX_GEMM_MC", rb.mr, rb.mc, rb.mc_src);
@@ -233,11 +201,6 @@ ResolvedBlocking resolve() {
   // width, so any positive value is safe to request (1 = scalar fallback).
   apply_env("HODLRX_BATCH_SIMD", 1, rb.batch_simd_width, rb.batch_src);
   rb.batch_simd_width = supported_batch_width(rb.batch_simd_width);
-  // A tile switched after a cache override was applied cannot undercut the
-  // packing invariants: re-clamp unconditionally.
-  rb.mc = std::max(rb.mc, rb.mr);
-  rb.nc = std::max(rb.nc, rb.nr);
-  rb.kc = std::max<index_t>(rb.kc, 1);
   blocking_stats::g_resolutions.fetch_add(1, std::memory_order_relaxed);
   return rb;
 }
@@ -291,7 +254,8 @@ void refresh_for_testing() {
 #define HODLRX_INSTANTIATE_BLOCKING(T)                    \
   template const ResolvedBlocking& resolved_blocking<T>(); \
   template ResolvedBlocking static_blocking<T>();          \
-  template ResolvedBlocking model_blocking<T>(const HwInfo&);
+  template ResolvedBlocking model_blocking<T>(const HwInfo&); \
+  template ResolvedBlocking model_blocking<T>(const HwInfo&, TileDims);
 
 HODLRX_INSTANTIATE_BLOCKING(float)
 HODLRX_INSTANTIATE_BLOCKING(double)

@@ -17,10 +17,16 @@
 ///   1. Environment override (HODLRX_GEMM_{MC,KC,NC}, HODLRX_TRSM_NB,
 ///      HODLRX_QR_NB, HODLRX_GEMM_TILE) — always wins.
 ///   2. The analytical model over the probed cache topology (hwinfo.hpp),
-///      when HODLRX_AUTOTUNE is not "off" and the probe succeeded.
+///      when HODLRX_AUTOTUNE is not "off" and the probe succeeded. The
+///      register tile is HODLRX_GEMM_TILE if set, else the model's choice
+///      for the ISA family, and MC/KC/NC are derived for that tile.
 ///   3. The static per-scalar-type defaults (GemmBlocking<T> and the
 ///      historical TRSM NB = 64 / QR NB = 16) — also what
 ///      HODLRX_AUTOTUNE=off selects, bit-for-bit.
+///
+/// Nothing is measured: the result is a pure function of the probed host
+/// and the environment, so every process on one host runs the same blocking
+/// and therefore the same summation order (bitwise-repeatable results).
 ///
 /// The model follows the GotoBLAS/BLIS analytical rules: KC sized so one
 /// MR x KC A micro-panel plus one KC x NR B micro-panel stream from L1,
@@ -32,12 +38,11 @@
 
 namespace hodlrx {
 
+struct TileDims;  // gemm_kernel.hpp
+
 /// Where a resolved field came from (reported in the bench JSON so the perf
-/// trajectory records what each run actually used). kMicrobench is specific
-/// to the register tile: both compiled variants were timed on one synthetic
-/// macro tile at first resolution and the faster one won.
-enum class BlockingSource : std::uint8_t { kStatic, kProbe, kEnv,
-                                           kMicrobench };
+/// trajectory records what each run actually used).
+enum class BlockingSource : std::uint8_t { kStatic, kProbe, kEnv };
 const char* blocking_source_name(BlockingSource s);
 
 struct ResolvedBlocking {
@@ -57,11 +62,6 @@ struct ResolvedBlocking {
   BlockingSource trsm_src = BlockingSource::kStatic;
   BlockingSource qr_src = BlockingSource::kStatic;
   BlockingSource batch_src = BlockingSource::kStatic;
-  /// Seconds per synthetic macro-tile multiply measured by the first-use
-  /// tile tie-breaker; both stay 0 when it did not run (autotune off, no
-  /// probe, or HODLRX_GEMM_TILE forced). Recorded with tile_src ==
-  /// kMicrobench so bench JSON shows what the measurement saw.
-  double tile_bench_wide_s = 0, tile_bench_compact_s = 0;
 };
 
 /// The resolved blocking for scalar type T (float, double, complex<float>,
@@ -83,6 +83,12 @@ ResolvedBlocking static_blocking();
 /// tagged kProbe.
 template <typename T>
 ResolvedBlocking model_blocking(const HwInfo& hw);
+
+/// The same model for an explicit register tile: MC/KC/NC are derived for
+/// `tile` (KC's L1 streaming budget depends on mr + nr). This is what the
+/// resolver uses when HODLRX_GEMM_TILE forces a tile on the probe rung.
+template <typename T>
+ResolvedBlocking model_blocking(const HwInfo& hw, TileDims tile);
 
 /// False iff HODLRX_AUTOTUNE is "off"/"0"/"false"/"no" (case-insensitive).
 bool autotune_enabled();

@@ -7,7 +7,6 @@
 #include "common/blocking.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/timer.hpp"
 #include "common/workspace.hpp"
 
 namespace hodlrx {
@@ -239,60 +238,7 @@ void scale_c(T beta, MatrixView<T> c) {
   }
 }
 
-/// One timed synthetic macro-tile multiply for the MR x NR variant: pack a
-/// constant-filled A/B pair once, then best-of-5 macro-kernel runs. The work
-/// (mc x nc x kc) is identical for every variant, so the times compare
-/// directly. Local buffers, not the arena: this runs once per type per
-/// process, and must not disturb any live workspace.
-template <typename T, index_t MR, index_t NR>
-double time_tile_variant() {
-  // 96 is a common multiple of every compiled MR (16/8/4/2) and 24 of every
-  // NR (6/8/4), so neither variant pays padding the other does not.
-  constexpr index_t mc = 96, nc = 24, kc = 128;
-  std::vector<T, AlignedAllocator<T>> ap(static_cast<std::size_t>(mc) * kc);
-  std::vector<T, AlignedAllocator<T>> bp(static_cast<std::size_t>(kc) * nc);
-  Matrix<T> c(mc, nc);
-  Matrix<T> a(mc, kc), b(kc, nc);
-  for (index_t i = 0; i < mc * kc; ++i)
-    a.data()[i] = T{static_cast<real_t<T>>((i % 13) - 6) / real_t<T>{8}};
-  for (index_t i = 0; i < kc * nc; ++i)
-    b.data()[i] = T{static_cast<real_t<T>>((i % 11) - 5) / real_t<T>{8}};
-  pack_a_block<T, MR>(Op::N, ConstMatrixView<T>(a), 0, 0, mc, kc, ap.data());
-  pack_b_block<T, NR>(Op::N, ConstMatrixView<T>(b), 0, 0, kc, nc, bp.data());
-  double best = 1e300;
-  for (int r = 0; r < 5; ++r) {
-    WallTimer t;
-    macro_kernel<T, MR, NR>(mc, nc, kc, T{1}, ap.data(), bp.data(),
-                            T{r == 0 ? 0 : 1}, c.view());
-    best = std::min(best, t.seconds());
-  }
-  return best;
-}
-
-template <typename T>
-TileBench run_tile_microbench() {
-  TileBench tb;
-  // Warm both code paths once (instruction fetch, page faults) before the
-  // timed runs so the first variant measured is not penalized.
-  time_tile_variant<T, GemmTiles<T>::kWide.mr, GemmTiles<T>::kWide.nr>();
-  time_tile_variant<T, GemmTiles<T>::kCompact.mr, GemmTiles<T>::kCompact.nr>();
-  tb.wide_s =
-      time_tile_variant<T, GemmTiles<T>::kWide.mr, GemmTiles<T>::kWide.nr>();
-  tb.compact_s = time_tile_variant<T, GemmTiles<T>::kCompact.mr,
-                                   GemmTiles<T>::kCompact.nr>();
-  return tb;
-}
-
 }  // namespace
-
-template <typename T>
-TileBench tile_microbench() {
-  // Measured once per process: repeated resolutions (refresh_for_testing)
-  // must keep picking the same winner, and the ~100 microsecond cost stays
-  // off every re-resolve.
-  static const TileBench tb = run_tile_microbench<T>();
-  return tb;
-}
 
 template <typename T>
 TileDims gemm_selected_tile() {
@@ -527,7 +473,6 @@ bool gemm_parallel_shared_a(Op opa, Op opb, T alpha,
                                MatrixView<T>);                                \
   template TileDims gemm_selected_tile<T>();                                  \
   template const char* gemm_selected_tile_name<T>();                          \
-  template TileBench tile_microbench<T>();                                    \
   template PackedMatrix<T> pack_a_full<T>(Op, ConstMatrixView<T>);            \
   template void pack_a_full_into<T>(Op, ConstMatrixView<T>,                   \
                                     PackedMatrix<T>&);                        \

@@ -109,18 +109,6 @@ std::uint64_t pool_packs();
 void reset();
 }  // namespace gemm_stats
 
-/// Best-of-N seconds for one synthetic macro-tile multiply through each
-/// compiled register-tile variant — the input of the blocking resolver's
-/// first-use tie-breaker (blocking.cpp). Measured once per scalar type per
-/// process (cached), on identical work for both variants, WITHOUT consulting
-/// resolved_blocking (the resolver calls this while holding its own lock).
-struct TileBench {
-  double wide_s = 0;
-  double compact_s = 0;
-};
-template <typename T>
-TileBench tile_microbench();
-
 /// True when the packed engine is expected to beat the naive kernels for
 /// this problem. Combinations with opb != N have no tuned naive fallback
 /// (they previously ran the element-accessor generic loop), so the packed

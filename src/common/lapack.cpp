@@ -807,6 +807,37 @@ Matrix<T> r_factor(const QRFactors<T>& qr) {
 }
 
 template <typename T>
+index_t potrf_upper(MatrixView<T> a, NoDeduce<real_t<T>> rtol) {
+  using R = real_t<T>;
+  const index_t n = a.rows;
+  HODLRX_REQUIRE(a.cols == n, "potrf_upper: matrix must be square");
+  // Left-looking by columns: column j of R solves R(0:j,0:j)^H r = a(0:j, j)
+  // by forward substitution, so every inner product runs down two
+  // contiguous columns.
+  for (index_t j = 0; j < n; ++j) {
+    T* rj = a.data + j * a.ld;
+    R d = ScalarTraits<T>::real(rj[j]);
+    const R limit = rtol * d;
+    for (index_t i = 0; i < j; ++i) {
+      const T* ri = a.data + i * a.ld;
+      T s = rj[i];
+      for (index_t l = 0; l < i; ++l) s -= conj_s(ri[l]) * rj[l];
+      rj[i] = s / ScalarTraits<T>::real(ri[i]);  // real diagonal
+      d -= abs2_s(rj[i]);
+    }
+    if (!(d > limit)) return j;
+    rj[j] = T{std::sqrt(d)};
+    for (index_t i = j + 1; i < n; ++i) rj[i] = T{};
+  }
+  FlopCounter::instance().add(
+      FlopCounter::kOther, (is_complex_v<T> ? 4ull : 1ull) *
+                               static_cast<std::uint64_t>(n) *
+                               static_cast<std::uint64_t>(n) *
+                               static_cast<std::uint64_t>(n) / 3);
+  return -1;
+}
+
+template <typename T>
 CPQRFactors<T> geqp3(ConstMatrixView<T> a, NoDeduce<real_t<T>> tol,
                      index_t max_rank) {
   using R = real_t<T>;
@@ -1207,6 +1238,7 @@ Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
   template std::uint64_t blocked_qr_internal_flops<T>(index_t, index_t,     \
                                                       index_t, index_t);    \
   template Matrix<T> r_factor<T>(const QRFactors<T>&);                      \
+  template index_t potrf_upper<T>(MatrixView<T>, NoDeduce<real_t<T>>);      \
   template CPQRFactors<T> geqp3<T>(ConstMatrixView<T>, NoDeduce<real_t<T>>,  \
                                    index_t);                                \
   template bool jacobi_sweep_gram<T>(MatrixView<T>, MatrixView<T>,          \

@@ -178,6 +178,17 @@ Matrix<T> thin_q_reference(const QRFactors<T>& qr);
 template <typename T>
 Matrix<T> r_factor(const QRFactors<T>& qr);
 
+/// In-place Cholesky factorization A = R^H R of a Hermitian matrix (only
+/// the upper triangle of `a` is read): R lands in the upper triangle and the
+/// strictly lower triangle is zeroed. Column j breaks down when its pivot —
+/// a_jj minus the squared norm of R's column above the diagonal — is not
+/// above `rtol * a_jj`: non-positive, NaN, or so small that the column is
+/// numerically dependent on the earlier ones. The factorization stops at
+/// the first such column and returns its index (the columns before it hold
+/// a valid partial R); -1 means success.
+template <typename T>
+index_t potrf_upper(MatrixView<T> a, NoDeduce<real_t<T>> rtol);
+
 /// Column-pivoted QR, truncated at `tol` (relative to the largest initial
 /// column norm) or at `max_rank` columns, whichever comes first.
 template <typename T>

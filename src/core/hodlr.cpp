@@ -643,8 +643,9 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
   // Task list: every non-root node `nu` owns the block (I_nu, I_sib(nu));
   // leaves additionally own their diagonal block. All tasks independent.
   // Per-block recompression is DEFERRED on uniform levels: those levels are
-  // re-truncated afterwards in one batched sweep per level instead of one
-  // pool task per block (the same machinery as the rsvd compression sweep).
+  // re-truncated afterwards in one recompress_batched call per level (its
+  // core SVDs share one batched Jacobi sweep) instead of one pool task per
+  // block.
   std::vector<char> level_batched(tree.depth() + 1, 0);
   if (opt.recompress)
     for (index_t level = 1; level <= tree.depth(); ++level)

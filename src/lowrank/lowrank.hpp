@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <span>
 
 #include "common/blas.hpp"
 #include "common/matrix.hpp"
@@ -50,22 +49,5 @@ index_t truncate_rank(const R* s, index_t count, index_t max_rank, R tol) {
   }
   return k;
 }
-
-/// Shared truncation epilogue of the batched compressors (the rsvd sweep
-/// and recompress_batched): per problem apply truncate_rank to
-/// `sig + i*width`, fold S_ik into the first k_i columns of the width x
-/// width rotation factors `w` (one elementwise pool launch), run the
-/// truncated left products U_i = Q_i (W_i S_i) for the WHOLE batch as ONE
-/// strided GEMM launch at the uniform width, and gather
-/// `out[i] = (U_i[:, :k_i], vsrc_i[:, :k_i])` in one batched copy-out
-/// launch. `q` holds the m x width left bases and `vsrc` the n x width
-/// right-vector sources, both at their natural contiguous strides.
-/// Implemented in rsvd.cpp.
-template <typename T>
-void truncated_products_batched(const T* q, index_t m, const T* vsrc,
-                                index_t n, T* w, index_t width,
-                                const real_t<T>* sig, index_t batch,
-                                index_t max_rank, real_t<T> tol,
-                                std::span<LowRankFactor<T>> out);
 
 }  // namespace hodlrx

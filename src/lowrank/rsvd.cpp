@@ -1,6 +1,7 @@
 #include "lowrank/rsvd.hpp"
 
 #include <complex>
+#include <span>
 
 #include "batched/batched_blas.hpp"
 #include "common/error.hpp"
@@ -66,8 +67,14 @@ LowRankFactor<T> rsvd_finish(ConstMatrixView<T> a, Matrix<T> y,
   return rsvd_truncate<T>(q, b, opt);
 }
 
-}  // namespace
-
+/// Truncation epilogue of the batched sweep: per problem apply
+/// truncate_rank to `sig + i*width`, fold S_ik into the first k_i columns of
+/// the width x width rotation factors `w` (one elementwise pool launch), run
+/// the truncated left products U_i = Q_i (W_i S_i) for the WHOLE batch as
+/// ONE strided GEMM launch at the uniform width, and gather
+/// `out[i] = (U_i[:, :k_i], vsrc_i[:, :k_i])` in one batched copy-out
+/// launch. `q` holds the m x width left bases and `vsrc` the n x width
+/// right-vector sources, both at their natural contiguous strides.
 template <typename T>
 void truncated_products_batched(const T* q, index_t m, const T* vsrc,
                                 index_t n, T* w, index_t width,
@@ -106,6 +113,8 @@ void truncated_products_batched(const T* q, index_t m, const T* vsrc,
     f.v = to_matrix(ConstMatrixView<T>(vsrc + i * n * width, n, ki, n));
   });
 }
+
+}  // namespace
 
 template <typename T>
 LowRankFactor<T> rsvd(ConstMatrixView<T> a, const RsvdOptions& opt) {
@@ -199,26 +208,14 @@ std::vector<LowRankFactor<T>> rsvd_strided_batched(const T* a, index_t lda,
     opt.breakdowns->svd_nonconverged += svd_info.nonconverged;
     opt.breakdowns->svd_recovered += svd_info.recovered;
   }
-  // Shared truncation epilogue: truncate_rank per problem, S folded into
-  // W_ik, ONE strided U_i = Q_i W_ik S_ik launch, batched copy-out.
+  // Truncation epilogue: truncate_rank per problem, S folded into W_ik, ONE
+  // strided U_i = Q_i W_ik S_ik launch, batched copy-out.
   truncated_products_batched<T>(y.data(), m, bh.data(), n, w.data(), l,
                                 sig.data(), batch,
                                 opt.rank > 0 ? opt.rank : -1,
                                 static_cast<R>(opt.tol), out);
   return out;
 }
-
-#define HODLRX_INSTANTIATE_TRUNC(T)                                          \
-  template void truncated_products_batched<T>(                               \
-      const T*, index_t, const T*, index_t, T*, index_t, const real_t<T>*,   \
-      index_t, index_t, real_t<T>, std::span<LowRankFactor<T>>);
-
-HODLRX_INSTANTIATE_TRUNC(float)
-HODLRX_INSTANTIATE_TRUNC(double)
-HODLRX_INSTANTIATE_TRUNC(std::complex<float>)
-HODLRX_INSTANTIATE_TRUNC(std::complex<double>)
-
-#undef HODLRX_INSTANTIATE_TRUNC
 
 #define HODLRX_INSTANTIATE_RSVD(T)                                           \
   template LowRankFactor<T> rsvd<T>(ConstMatrixView<T>, const RsvdOptions&); \

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <string>
@@ -29,7 +31,8 @@
 ///     from it (packed panels must fit the cache levels they target),
 ///   - stability of the micro-kernel dispatch (no re-resolution, no thread
 ///     re-creation across launches; serial/batched/stream paths all bind
-///     the same variant),
+///     the same variant) and determinism across processes (fresh child
+///     processes resolve identical records),
 ///   - and the core property: under RANDOMIZED blocking overrides —
 ///     including pathological ones (register-tile-sized, prime, huge) —
 ///     gemm/trsm/geqrf agree with the reference paths for all four scalar
@@ -48,6 +51,35 @@ const bool g_env_ready = [] {
   // Four pool threads so the stream/parallel paths fork even on 1-CPU CI.
   setenv("HODLRX_NUM_THREADS", "4", 1);
   return true;
+}();
+
+/// One line per scalar type with every field of its ResolvedBlocking.
+std::string blocking_records() {
+  std::string out;
+  auto add = [&out](const char* type, const ResolvedBlocking& rb) {
+    for (index_t v : {rb.mr, rb.nr, rb.mc, rb.kc, rb.nc, rb.trsm_nb, rb.qr_nb,
+                      rb.batch_simd_width})
+      out += std::to_string(static_cast<long long>(v)) + " ";
+    for (BlockingSource src : {rb.tile_src, rb.mc_src, rb.kc_src, rb.nc_src,
+                               rb.trsm_src, rb.qr_src, rb.batch_src})
+      out += std::string(blocking_source_name(src)) + " ";
+    out += std::string(type) + "\n";
+  };
+  add("float", resolved_blocking<float>());
+  add("double", resolved_blocking<double>());
+  add("complex<float>", resolved_blocking<std::complex<float>>());
+  add("complex<double>", resolved_blocking<std::complex<double>>());
+  return out;
+}
+
+/// Child mode of Resolution.IdenticalAcrossFreshProcesses: with
+/// HODLRX_TEST_PRINT_BLOCKING set, this binary resolves the blocking in a
+/// fresh process, prints the records and exits before any test runs.
+const bool g_child_mode = [] {
+  if (std::getenv("HODLRX_TEST_PRINT_BLOCKING") == nullptr) return false;
+  std::fputs(blocking_records().c_str(), stdout);
+  std::fflush(stdout);
+  std::_Exit(0);
 }();
 
 constexpr const char* kBlockingVars[] = {
@@ -359,6 +391,65 @@ TYPED_TEST(BlockingTyped, BothTileVariantsCorrect) {
     gemm_prepacked_b<T>(Op::N, T{2}, a, bp, T{1}, c2.view());
     EXPECT_LE(rel_error(c2, want), tol<T>()) << tile << " prepacked";
   }
+}
+
+/// A forced register tile gets the cache blocking the model derives for
+/// THAT tile (KC's L1 streaming budget depends on mr + nr), not the cache
+/// fields of the tile the model would have picked.
+TYPED_TEST(BlockingTyped, ForcedTileDerivesItsOwnCacheBlocking) {
+  using T = TypeParam;
+  if (std::string(hwinfo().source) == "default")
+    GTEST_SKIP() << "no probe on this host; the static rung derives nothing";
+  for (const char* tile : {"wide", "compact"}) {
+    ScopedBlockingEnv env;
+    env.set("HODLRX_GEMM_TILE", tile);
+    env.refresh();
+    const TileDims dims = std::string(tile) == "wide"
+                              ? GemmTiles<T>::kWide
+                              : GemmTiles<T>::kCompact;
+    const ResolvedBlocking& rb = resolved_blocking<T>();
+    const ResolvedBlocking want = model_blocking<T>(hwinfo(), dims);
+    EXPECT_EQ(rb.mr, dims.mr) << tile;
+    EXPECT_EQ(rb.nr, dims.nr) << tile;
+    EXPECT_EQ(rb.mc, want.mc) << tile;
+    EXPECT_EQ(rb.kc, want.kc) << tile;
+    EXPECT_EQ(rb.nc, want.nc) << tile;
+    EXPECT_EQ(rb.tile_src, BlockingSource::kEnv) << tile;
+    EXPECT_EQ(rb.kc_src, BlockingSource::kProbe) << tile;
+  }
+}
+
+/// Records printed by a fresh child process of this binary (child mode
+/// above); empty when the child could not be started.
+std::string child_blocking_records() {
+  char exe[4096];
+  const ssize_t len = readlink("/proc/self/exe", exe, sizeof exe);
+  if (len <= 0) return "";
+  std::string cmd = "'";
+  cmd.append(exe, static_cast<std::size_t>(len)).append("'");
+  setenv("HODLRX_TEST_PRINT_BLOCKING", "1", 1);
+  FILE* pipe = popen(cmd.c_str(), "r");
+  unsetenv("HODLRX_TEST_PRINT_BLOCKING");
+  if (pipe == nullptr) return "";
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  EXPECT_EQ(pclose(pipe), 0);
+  return out;
+}
+
+/// The blocking is a pure function of the host and the environment: two
+/// fresh processes resolve identical records for all four scalar types, and
+/// so does this one. The tile and cache blocking fix the GEMM summation
+/// order, so any per-process choice would break bitwise-repeatable runs.
+TEST(Resolution, IdenticalAcrossFreshProcesses) {
+  ASSERT_FALSE(g_child_mode);
+  ScopedBlockingEnv env;
+  const std::string first = child_blocking_records();
+  const std::string second = child_blocking_records();
+  ASSERT_FALSE(first.empty()) << "child process produced no records";
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(first, blocking_records());
 }
 
 /// Dispatch is stable: repeated serial, batched and stream launches do not

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "batched/batched_blas.hpp"
+#include "bie/contour.hpp"
+#include "bie/helmholtz.hpp"
+#include "bie/laplace.hpp"
 #include "common/gemm_kernel.hpp"
 #include "core/hodlr.hpp"
 #include "lowrank/aca.hpp"
@@ -221,9 +224,52 @@ TYPED_TEST(LowrankTyped, RecompressReducesRankKeepsProduct) {
   const T scale = T{1} / T{static_cast<real_t<T>>(padded_r / true_r)};
   scale_inplace(scale, lr.v.view());
   Matrix<T> before = lr.reconstruct();
+  const std::uint64_t fallbacks0 = qr_stats::cholesky_fallbacks();
   const index_t new_rank = recompress(lr, real_t<T>(1e-12));
   EXPECT_EQ(new_rank, true_r);
   EXPECT_LE(rel_error(lr.reconstruct(), before), 1e-10);
+  EXPECT_EQ(qr_stats::cholesky_fallbacks(), fallbacks0 + 1)
+      << "duplicated columns must break the Gram Cholesky and take the "
+         "Householder rung";
+}
+
+/// Differential test of the Gram/Cholesky kernel against the Householder
+/// rung on the factors the build actually recompresses: ACA factors of the
+/// off-diagonal blocks of levels 1-3 of a BIE operator. Same ranks,
+/// reconstructions within 1e-10, and no block may fall back.
+template <typename T>
+void expect_gram_matches_householder(const MatrixGenerator<T>& g) {
+  const ClusterTree tree = ClusterTree::uniform(g.rows(), 64);
+  const real_t<T> tol(1e-12);
+  const std::uint64_t fallbacks0 = qr_stats::cholesky_fallbacks();
+  index_t blocks = 0;
+  for (index_t level = 1; level <= 3; ++level) {
+    for (LowRankFactor<T>& gram : test::aca_level<T>(g, tree, level)) {
+      LowRankFactor<T> hh{to_matrix(gram.u.view()), to_matrix(gram.v.view())};
+      const index_t kg = recompress<T>(gram, tol);
+      const index_t kh = detail::recompress_householder<T>(hh, tol);
+      EXPECT_EQ(kg, kh) << "level " << level;
+      EXPECT_LE(rel_error(gram.reconstruct(), hh.reconstruct()), 1e-10)
+          << "level " << level;
+      ++blocks;
+    }
+  }
+  EXPECT_EQ(blocks, 14);
+  EXPECT_EQ(qr_stats::cholesky_fallbacks(), fallbacks0)
+      << "well-conditioned ACA factors must stay on the Gram path";
+}
+
+TEST(Recompress, GramMatchesHouseholderLaplaceBie) {
+  const bie::BlobContour contour;
+  expect_gram_matches_householder<double>(bie::LaplaceExteriorBIE<double>(
+      bie::discretize(contour, 2048), {0.0, 0.0}));
+}
+
+TEST(Recompress, GramMatchesHouseholderHelmholtzBie) {
+  const bie::BlobContour contour;
+  expect_gram_matches_householder<std::complex<double>>(
+      bie::HelmholtzCombinedBIE<std::complex<double>>(
+          bie::discretize(contour, 1024), 20.0, 20.0, 6));
 }
 
 TEST(Recompress, RankZeroPassthrough) {

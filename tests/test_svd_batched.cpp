@@ -5,6 +5,9 @@
 #include <vector>
 
 #include "batched/batched_blas.hpp"
+#include "bie/contour.hpp"
+#include "bie/helmholtz.hpp"
+#include "bie/laplace.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "device/device.hpp"
@@ -20,7 +23,8 @@
 /// for all four scalar types. Also asserts the engine's launch-shape
 /// invariants (batched sweeps counted, zero pool thread churn), the
 /// HODLRX_SVD_SWEEPS budget/non-convergence reporting, the shared
-/// truncate_rank rule, and batched-vs-serial recompression agreement.
+/// truncate_rank rule, batched-vs-serial recompression agreement, and the
+/// Gram/Cholesky recompression kernel against its Householder rung.
 
 namespace hodlrx {
 namespace {
@@ -320,7 +324,11 @@ TYPED_TEST(SvdBatchedTyped, RecompressBatchedMatchesSerial) {
     before[static_cast<std::size_t>(i)] =
         fs[static_cast<std::size_t>(i)].reconstruct();
 
+  qr_stats::reset();
   recompress_batched<T>(fs, std::is_same_v<R, float> ? R(1e-5) : R(1e-12));
+  // Every problem with redundant (duplicated) columns — i % 3 != 0 — breaks
+  // the Gram Cholesky and takes the Householder rung; the others do not.
+  EXPECT_EQ(qr_stats::cholesky_fallbacks(), 4u);
   for (index_t i = 0; i < batch; ++i) {
     LowRankFactor<T>& s = serial[static_cast<std::size_t>(i)];
     const index_t k =
@@ -341,6 +349,86 @@ TYPED_TEST(SvdBatchedTyped, RecompressBatchedMatchesSerial) {
   EXPECT_EQ(recompress<T>(capped, R{0}, 3), 3);
   recompress_batched<T>(one, R{0}, 3);
   EXPECT_EQ(one[0].rank(), 3);
+}
+
+/// A batch mixing well-conditioned factors with ONE factor whose U has
+/// duplicated columns: only that problem falls back to the Householder
+/// rung, and every rank and product matches serial recompress.
+TYPED_TEST(SvdBatchedTyped, RecompressBatchedMixedBatchFallsBackPerBlock) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  const R tol = std::is_same_v<R, float> ? R(1e-5) : R(1e-12);
+  const R rtol = std::is_same_v<R, float> ? R(2e-3) : R(1e-10);
+  const index_t m = 48, n = 36, batch = 5, bad = 2;
+  std::vector<LowRankFactor<T>> fs(batch), serial(batch);
+  std::vector<Matrix<T>> before(batch);
+  for (index_t i = 0; i < batch; ++i) {
+    LowRankFactor<T>& f = fs[static_cast<std::size_t>(i)];
+    f.u = random_matrix<T>(m, 3 + i, 300 + i);
+    f.v = random_matrix<T>(n, 3 + i, 400 + i);
+    if (i == bad)
+      copy<T>(f.u.view().block(0, 0, m, 1), f.u.view().block(0, 2, m, 1));
+    serial[static_cast<std::size_t>(i)] = {to_matrix(f.u.view()),
+                                           to_matrix(f.v.view())};
+    before[static_cast<std::size_t>(i)] = f.reconstruct();
+  }
+  qr_stats::reset();
+  recompress_batched<T>(fs, tol);
+  EXPECT_EQ(qr_stats::cholesky_fallbacks(), 1u)
+      << "only the duplicated-column problem may leave the Gram path";
+  for (index_t i = 0; i < batch; ++i) {
+    const std::size_t s = static_cast<std::size_t>(i);
+    EXPECT_EQ(fs[s].rank(), recompress<T>(serial[s], tol)) << "problem " << i;
+    EXPECT_EQ(fs[s].rank(), i == bad ? 2 + i : 3 + i) << "problem " << i;
+    EXPECT_LE(rel_error<T>(fs[s].reconstruct(), before[s]), rtol)
+        << "problem " << i;
+  }
+  EXPECT_EQ(qr_stats::cholesky_fallbacks(), 2u)
+      << "serial recompress falls back on the same problem";
+}
+
+/// Differential test of the batched Gram kernel against the Householder
+/// rung on whole tree levels of ACA factors (the batches HodlrMatrix::build
+/// recompresses): identical ranks, reconstructions within 1e-10, and zero
+/// fallbacks.
+template <typename T>
+void expect_batched_gram_matches_householder(const MatrixGenerator<T>& g,
+                                             index_t levels) {
+  const ClusterTree tree = ClusterTree::uniform(g.rows(), 64);
+  const real_t<T> tol(1e-12);
+  qr_stats::reset();
+  for (index_t level = 1; level <= levels; ++level) {
+    std::vector<LowRankFactor<T>> fs = test::aca_level<T>(g, tree, level);
+    std::vector<LowRankFactor<T>> hh;
+    for (const LowRankFactor<T>& f : fs)
+      hh.push_back({to_matrix(f.u.view()), to_matrix(f.v.view())});
+    recompress_batched<T>(fs, tol);
+    for (std::size_t i = 0; i < fs.size(); ++i) {
+      EXPECT_EQ(fs[i].rank(), detail::recompress_householder<T>(hh[i], tol))
+          << "level " << level << " block " << i;
+      EXPECT_LE(rel_error<T>(fs[i].reconstruct(), hh[i].reconstruct()), 1e-10)
+          << "level " << level << " block " << i;
+    }
+  }
+  EXPECT_EQ(qr_stats::cholesky_fallbacks(), 0u);
+  EXPECT_EQ(qr_stats::panel_launches(), 0u)
+      << "the Gram path must not launch the batched Householder engine";
+}
+
+TEST(SvdBatched, RecompressBatchedGramMatchesHouseholderLaplaceBie) {
+  const bie::BlobContour contour;
+  expect_batched_gram_matches_householder<double>(
+      bie::LaplaceExteriorBIE<double>(bie::discretize(contour, 2048),
+                                      {0.0, 0.0}),
+      4);
+}
+
+TEST(SvdBatched, RecompressBatchedGramMatchesHouseholderHelmholtzBie) {
+  const bie::BlobContour contour;
+  expect_batched_gram_matches_householder<std::complex<double>>(
+      bie::HelmholtzCombinedBIE<std::complex<double>>(
+          bie::discretize(contour, 1024), 20.0, 20.0, 6),
+      3);
 }
 
 /// The batched sweep must issue device launches and must NOT create pool

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <vector>
 
 #include "common/blas.hpp"
 #include "common/matrix.hpp"
 #include "common/random.hpp"
+#include "lowrank/aca.hpp"
 #include "lowrank/generator.hpp"
+#include "tree/cluster_tree.hpp"
 
 /// Shared helpers for the test suite.
 
@@ -59,6 +62,25 @@ real_t<T> dense_relres(ConstMatrixView<T> a, ConstMatrixView<T> x,
   Matrix<T> r = to_matrix(b);
   gemm(Op::N, Op::N, T{-1}, a, x, T{1}, r.view());
   return norm_fro(r) / norm_fro(b);
+}
+
+/// ACA factors (default AcaOptions, tol 1e-12) of every off-diagonal block
+/// (I_nu, I_sib(nu)) at one level of `tree`: the uniform-shape batch that
+/// HodlrMatrix::build re-truncates with one recompress_batched call.
+template <typename T>
+std::vector<LowRankFactor<T>> aca_level(const MatrixGenerator<T>& g,
+                                        const ClusterTree& tree,
+                                        index_t level) {
+  std::vector<LowRankFactor<T>> fs;
+  const index_t begin = ClusterTree::level_begin(level);
+  for (index_t t = 0; t < ClusterTree::nodes_at_level(level); ++t) {
+    const ClusterNode& row = tree.node(begin + t);
+    const ClusterNode& col = tree.node(ClusterTree::sibling(begin + t));
+    fs.push_back(aca(g, row.begin, col.begin, row.size(), col.size(),
+                     AcaOptions{})
+                     .factor);
+  }
+  return fs;
 }
 
 }  // namespace hodlrx::test
