@@ -315,8 +315,7 @@ void bench_svd(index_t batch, index_t l, index_t n, index_t m, int repeats,
     std::vector<double> sig(static_cast<std::size_t>(l) * batch);
     Matrix<double> w(l, l * batch);
     jacobi_svd_strided_batched<double>(bh.data(), n, n * l, n, l, sig.data(),
-                                       l, w.data(), l, l * l, batch,
-                                       BatchPolicy::kForceBatched);
+                                       l, w.data(), l, l * l, batch);
     std::vector<index_t> ks(static_cast<std::size_t>(batch));
     for (index_t i = 0; i < batch; ++i)
       ks[static_cast<std::size_t>(i)] =
@@ -543,8 +542,7 @@ void bench_interleave_drivers(index_t batch, index_t m, index_t n,
   auto svd_leg = [&] {
     return time_best_with_setup(repeats, restore, [&] {
       jacobi_svd_strided_batched<double>(a.data(), m, m * n, m, n, sig.data(),
-                                         n, v.data(), n, n * n, batch,
-                                         BatchPolicy::kForceBatched);
+                                         n, v.data(), n, n * n, batch);
     });
   };
   const double t_qr = qr_leg();

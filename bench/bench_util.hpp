@@ -109,7 +109,9 @@ SolverStats bench_packed(const HodlrMatrix<T>& h, const PackedHodlr<T>& p,
     f.solve_inplace(x);
     out.ts += t.seconds();
     if (rep == repeats - 1) {
-      out.mem_gb = gb(f.bytes());
+      // The operator's panels (V included) plus the factorization's own
+      // Y, leaf LUs and K: V is read in place, so f.bytes() omits it.
+      out.mem_gb = gb(h.bytes() + f.bytes());
       out.relres = hodlr_relres(h, ConstMatrixView<T>(x), b);
     }
   }

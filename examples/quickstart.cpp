@@ -3,8 +3,9 @@
 ///
 ///   1. make a point set and a cluster tree (geometry-aware bisection);
 ///   2. define the matrix implicitly through a kernel generator;
-///   3. HodlrMatrix::build compresses every off-diagonal block (ACA);
-///   4. PackedHodlr::pack lays the bases out in the paper's big-matrix form;
+///   3. HodlrMatrix::build compresses every off-diagonal block (ACA) into
+///      the paper's big-matrix form;
+///   4. PackedHodlr::pack hands those panels to the factorization (no copy);
 ///   5. HodlrFactorization::factor runs Algorithm 3; solve runs Algorithm 4.
 
 #include "common/random.hpp"

@@ -36,7 +36,7 @@ void RecursiveSolver<T>::factor_node(index_t nu) {
   const ClusterTree& tree = h_->tree();
   if (tree.is_leaf(nu)) {
     const index_t j = nu - ClusterTree::level_begin(tree.depth());
-    leaf_lu_[j] = h_->leaf_block(j);  // copy, then factor in place
+    leaf_lu_[j] = to_matrix(h_->leaf_block(j));  // copy, factor in place
     leaf_piv_[j].assign(leaf_lu_[j].rows(), 0);
     getrf(leaf_lu_[j].view(), leaf_piv_[j].data());
     return;
@@ -53,8 +53,8 @@ void RecursiveSolver<T>::factor_node(index_t nu) {
 #pragma omp taskwait
 
   // Y_a = A_a^{-1} U_a, Y_b = A_b^{-1} U_b via recursive solves.
-  y_[a] = h_->u(a);
-  y_[b] = h_->u(b);
+  y_[a] = to_matrix(h_->u(a));
+  y_[b] = to_matrix(h_->u(b));
   // Within-node work is serial (tasks=false): this is HODLRlib's model.
   if (y_[a].cols() > 0) solve_node(a, y_[a].view(), /*tasks=*/false);
   if (y_[b].cols() > 0) solve_node(b, y_[b].view(), /*tasks=*/false);

@@ -568,7 +568,7 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                                         index_t m, index_t n, real_t<T>* s,
                                         index_t stride_s, T* v, index_t ldv,
                                         index_t stride_v, index_t batch,
-                                        BatchPolicy policy, bool recover) {
+                                        bool recover) {
   using R = real_t<T>;
   SvdBatchInfo info;
   if (batch == 0 || n == 0) return info;
@@ -582,19 +582,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
   // decomposition itself runs inline on the caller.
   if (Stream* strm = deferring_stream()) strm->synchronize();
   DeviceContext::global().record_launch();
-  const index_t work = 2 * m * n * n;
-  if (use_stream_mode(policy, batch, batch * work)) {
-    // Few large problems: sequential blocked serial driver per problem (it
-    // counts its own non-convergence in svd_stats).
-    for (index_t i = 0; i < batch; ++i) {
-      MatrixView<T> wi{a + i * stride_a, m, n, lda};
-      MatrixView<T> vi{v + i * stride_v, n, n, ldv};
-      const SvdInfo r = jacobi_svd_inplace<T>(wi, vi, s + i * stride_s);
-      info.sweeps = std::max(info.sweeps, r.sweeps);
-      if (!r.converged) ++info.nonconverged;
-    }
-    return info;
-  }
   svd_stats::detail::add_batched_sweep();
   const R tol = R{32} * eps_v<T>;
   int max_sweeps = svd_max_sweeps();
@@ -821,7 +808,7 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                                           index_t, BatchPolicy);             \
   template SvdBatchInfo jacobi_svd_strided_batched<T>(                       \
       T*, index_t, index_t, index_t, index_t, real_t<T>*, index_t, T*,       \
-      index_t, index_t, index_t, BatchPolicy, bool);
+      index_t, index_t, index_t, bool);
 
 HODLRX_INSTANTIATE_BATCHED(float)
 HODLRX_INSTANTIATE_BATCHED(double)

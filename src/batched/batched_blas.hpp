@@ -163,16 +163,15 @@ struct SvdBatchInfo {
 /// at s + i*stride_s (stride_s >= n) and the right singular vectors V_i
 /// (n x n) at v + i*stride_v (ldv >= n), so A_i = U_i diag(s_i) V_i^H.
 ///
-/// Batched mode is SWEEP-synchronized (the model of the batched QR engine):
+/// The driver is SWEEP-synchronized (the model of the batched QR engine):
 /// each cyclic Jacobi sweep is (a) ONE batched GEMM launch refreshing the
 /// Gram matrices G_i = W_i^H W_i of the still-active problems in a
 /// per-launch strided workspace and (b) ONE pool launch applying the cyclic
 /// column-pair rotations of those problems (jacobi_sweep_gram). Converged
 /// problems are compacted out of the active set, and the loop exits early
 /// once the whole batch has converged. A final pool launch sorts and
-/// normalizes every problem. Stream mode (few large problems) runs the
-/// problems sequentially through the blocked serial driver
-/// jacobi_svd_inplace.
+/// normalizes every problem. Every batch takes this path, whatever its size,
+/// so the bits never depend on the pool size.
 ///
 /// With `recover = true` (the recovery ladder; rsvd_strided_batched under
 /// OnBreakdown::kRecover passes it) problems that exhaust the synchronized
@@ -186,7 +185,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                                         index_t m, index_t n, real_t<T>* s,
                                         index_t stride_s, T* v, index_t ldv,
                                         index_t stride_v, index_t batch,
-                                        BatchPolicy policy = BatchPolicy::kAuto,
                                         bool recover = false);
 
 }  // namespace hodlrx

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 #include "common/config.hpp"
 
@@ -36,6 +39,42 @@ struct AlignedAllocator {
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
     return true;
   }
+};
+
+/// Owning, move-only, 64-byte-aligned array whose elements start
+/// UNINITIALIZED. It holds the operator-sized panels, which a pool launch
+/// fills: each element is written once, and the pool threads take the first
+/// page faults instead of a serial zero-fill pass.
+template <typename T>
+class AlignedBuffer {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "AlignedBuffer holds raw, uninitialized elements");
+
+ public:
+  AlignedBuffer() = default;
+  explicit AlignedBuffer(std::size_t n)
+      : data_(AlignedAllocator<T>().allocate(n)), size_(n) {}
+  AlignedBuffer(AlignedBuffer&& o) noexcept
+      : data_(std::move(o.data_)), size_(std::exchange(o.size_, 0)) {}
+  AlignedBuffer& operator=(AlignedBuffer&& o) noexcept {
+    if (this != &o) {
+      data_ = std::move(o.data_);
+      size_ = std::exchange(o.size_, 0);
+    }
+    return *this;
+  }
+
+  T* data() { return data_.get(); }
+  const T* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  std::size_t bytes() const { return size_ * sizeof(T); }
+
+ private:
+  struct Free {
+    void operator()(T* p) const { AlignedAllocator<T>().deallocate(p, 0); }
+  };
+  std::unique_ptr<T[], Free> data_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace hodlrx

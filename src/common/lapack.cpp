@@ -1001,16 +1001,27 @@ bool jacobi_sweep_gram(MatrixView<T> w, MatrixView<T> v, MatrixView<T> g,
         vq[i] = s * xp + T{c} * xq;
       }
       // G <- M^H G M for the 2-column rotation M, O(n) instead of the O(m)
-      // dot products: columns p,q then rows p,q.
-      for (index_t j = 0; j < n; ++j) {
-        const T xp = g(j, p), xq = g(j, q);
-        g(j, p) = T{c} * xp - conj_s(s) * xq;
-        g(j, q) = s * xp + T{c} * xq;
+      // dot products: columns p,q then rows p,q. Without the restrict
+      // pointers the out-of-line instance, which the batched driver calls,
+      // must assume G aliases W or V and ran complex sweeps 3-4x slower.
+      {
+        T* __restrict__ gp = g.data + p * g.ld;
+        T* __restrict__ gq = g.data + q * g.ld;
+        for (index_t j = 0; j < n; ++j) {
+          const T xp = gp[j], xq = gq[j];
+          gp[j] = T{c} * xp - conj_s(s) * xq;
+          gq[j] = s * xp + T{c} * xq;
+        }
       }
-      for (index_t j = 0; j < n; ++j) {
-        const T xp = g(p, j), xq = g(q, j);
-        g(p, j) = T{c} * xp - s * xq;
-        g(q, j) = conj_s(s) * xp + T{c} * xq;
+      {
+        T* __restrict__ gp = g.data + p;
+        T* __restrict__ gq = g.data + q;
+        const index_t ld = g.ld;
+        for (index_t j = 0; j < n; ++j) {
+          const T xp = gp[j * ld], xq = gq[j * ld];
+          gp[j * ld] = T{c} * xp - s * xq;
+          gq[j * ld] = conj_s(s) * xp + T{c} * xq;
+        }
       }
     }
   }

@@ -235,7 +235,7 @@ namespace svd_stats {
 std::uint64_t serial_svds();
 /// Problems (serial or batched) that exhausted the sweep budget.
 std::uint64_t nonconverged();
-/// jacobi_svd_strided_batched calls that took the sweep-synchronized path.
+/// jacobi_svd_strided_batched calls (each runs the sweep-synchronized path).
 std::uint64_t batched_sweeps();
 /// Cross-batch rotation launches (one pool dispatch rotating every
 /// not-yet-converged problem once, fed by one strided Gram GEMM launch).

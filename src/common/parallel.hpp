@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <utility>
 
 #include "common/config.hpp"
@@ -59,6 +60,16 @@ void parallel_chunks(index_t n, F&& f) {
     const index_t j0 = t * n / nchunks;
     const index_t j1 = (t + 1) * n / nchunks;
     if (j1 > j0) f(j0, j1 - j0);
+  });
+}
+
+/// dst[0, n) = src[0, n), one contiguous slice per pool thread, so the
+/// threads take a fresh destination's first page faults in parallel.
+template <typename T>
+void parallel_copy(const T* src, index_t n, T* dst) {
+  if (n <= 0) return;
+  parallel_chunks(n, [&](index_t i0, index_t count) {
+    std::copy_n(src + i0, count, dst + i0);
   });
 }
 

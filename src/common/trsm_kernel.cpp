@@ -14,6 +14,11 @@ namespace hodlrx {
 
 namespace {
 
+/// RHS columns per pass of the diagonal-block kernels below. Their 4-column
+/// pass and their 1-column tail round complex products differently, so a
+/// column's bits depend on which of the two it takes.
+constexpr index_t kDiagPassCols = 4;
+
 /// Solve A_kk^{-1} B for one NB x NB LOWER diagonal block, four RHS columns
 /// per pass: the four running values stay in registers and the triangle is
 /// streamed once per four columns. `inv` is the reciprocal table for
@@ -23,7 +28,7 @@ void solve_diag_lower(ConstMatrixView<T> a, MatrixView<T> b,
                       const T* __restrict__ inv) {
   const index_t n = a.rows;
   index_t j = 0;
-  for (; j + 4 <= b.cols; j += 4) {
+  for (; j + kDiagPassCols <= b.cols; j += kDiagPassCols) {
     T* __restrict__ x0 = b.data + j * b.ld;
     T* __restrict__ x1 = b.data + (j + 1) * b.ld;
     T* __restrict__ x2 = b.data + (j + 2) * b.ld;
@@ -64,7 +69,7 @@ void solve_diag_upper(ConstMatrixView<T> a, MatrixView<T> b,
                       const T* __restrict__ inv) {
   const index_t n = a.rows;
   index_t j = 0;
-  for (; j + 4 <= b.cols; j += 4) {
+  for (; j + kDiagPassCols <= b.cols; j += kDiagPassCols) {
     T* __restrict__ x0 = b.data + j * b.ld;
     T* __restrict__ x1 = b.data + (j + 1) * b.ld;
     T* __restrict__ x2 = b.data + (j + 2) * b.ld;
@@ -101,10 +106,14 @@ void solve_diag_upper(ConstMatrixView<T> a, MatrixView<T> b,
 
 /// Trailing update C -= A * X without flop accounting: the packed engine
 /// above its cutoff, a compact axpy update below it (the rank-NB updates of
-/// small solves don't amortize packing).
+/// small solves don't amortize packing). The two round differently, so the
+/// choice is made for the whole solve's RHS width `nrhs`, not for C's own
+/// columns: a solve split into column chunks (trsm_left_parallel) then runs
+/// the same kernel, and returns the same bits, as the unsplit one.
 template <typename T>
-void update_nn(ConstMatrixView<T> a, ConstMatrixView<T> x, MatrixView<T> c) {
-  if (use_packed_gemm(Op::N, Op::N, c.rows, c.cols, a.cols)) {
+void update_nn(ConstMatrixView<T> a, ConstMatrixView<T> x, MatrixView<T> c,
+               index_t nrhs) {
+  if (use_packed_gemm(Op::N, Op::N, c.rows, nrhs, a.cols)) {
     gemm_packed<T>(Op::N, Op::N, T{-1}, a, x, T{1}, c);
     return;
   }
@@ -158,9 +167,12 @@ void trsm_left_reference(Uplo uplo, Diag diag,
   }
 }
 
+namespace {
+
+/// trsm_left_blocked on `b`, a column chunk of a solve with `nrhs` columns.
 template <typename T>
-void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
-                       MatrixView<T> b) {
+void trsm_blocked_chunk(Uplo uplo, Diag diag, ConstMatrixView<T> a,
+                        MatrixView<T> b, index_t nrhs) {
   const index_t n = a.rows;
   const index_t nb = resolved_blocking<T>().trsm_nb;
   if (n <= nb) {
@@ -185,7 +197,7 @@ void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
       if (rem > 0)
         update_nn<T>(a.block(k0 + kb, k0, rem, kb),
                      ConstMatrixView<T>(b.rows_range(k0, kb)),
-                     b.rows_range(k0 + kb, rem));
+                     b.rows_range(k0 + kb, rem), nrhs);
     }
   } else {
     for (index_t k0 = ((n - 1) / nb) * nb;; k0 -= nb) {
@@ -195,9 +207,17 @@ void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
       if (k0 == 0) break;
       update_nn<T>(a.block(0, k0, k0, kb),
                    ConstMatrixView<T>(b.rows_range(k0, kb)),
-                   b.rows_range(0, k0));
+                   b.rows_range(0, k0), nrhs);
     }
   }
+}
+
+}  // namespace
+
+template <typename T>
+void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
+                       MatrixView<T> b) {
+  trsm_blocked_chunk<T>(uplo, diag, a, b, b.cols);
 }
 
 template <typename T>
@@ -209,8 +229,13 @@ void trsm_left_parallel(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
   if (max_threads() <= 1 || b.cols <= 1 || in_parallel()) {
     trsm_left_blocked<T>(uplo, diag, a, b);
   } else {
-    parallel_chunks(b.cols, [&](index_t j0, index_t nc) {
-      trsm_left_blocked<T>(uplo, diag, a, b.cols_range(j0, nc));
+    // Chunks start on whole diagonal-kernel passes, so every column takes
+    // the same pass, and returns the same bits, as in the unsplit solve.
+    const index_t passes = (b.cols + kDiagPassCols - 1) / kDiagPassCols;
+    parallel_chunks(passes, [&](index_t p0, index_t np) {
+      const index_t j0 = p0 * kDiagPassCols;
+      const index_t j1 = std::min((p0 + np) * kDiagPassCols, b.cols);
+      trsm_blocked_chunk<T>(uplo, diag, a, b.cols_range(j0, j1 - j0), b.cols);
     });
   }
   add_trsm_flops<T>(n, b.cols);

@@ -50,8 +50,11 @@ void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
 
 /// Stream-mode solve: the RHS columns are split into one chunk per pool
 /// thread (columns are independent given A), each chunk running the blocked
-/// solver. This IS a public entry point and accounts trsm flops. Used by the
-/// batched layer when a level has few, large problems.
+/// solver. The result is bitwise that of trsm_left_blocked on the whole RHS
+/// at any pool size: chunks start on the diagonal kernels' 4-column passes,
+/// and every chunk picks its trailing-update kernel from the full RHS width.
+/// This IS a public entry point and accounts trsm flops. Used by the batched
+/// layer when a level has few, large problems.
 template <typename T>
 void trsm_left_parallel(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
                         MatrixView<T> b);

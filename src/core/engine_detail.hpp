@@ -1,5 +1,6 @@
 #pragma once
 
+#include "common/parallel.hpp"
 #include "core/factorization.hpp"
 
 /// \file engine_detail.hpp
@@ -13,7 +14,10 @@ struct FactorEngine {
   using F = HodlrFactorization<T>;
   using LevelK = typename F::LevelK;
 
-  /// Copy the packed data "onto the device" and initialize metadata.
+  /// Copy what the factorization overwrites "onto the device" — Ubig into
+  /// Ybig and the leaf blocks into their LU storage, each one pool launch
+  /// into fresh memory — share the operator's panels for V, and initialize
+  /// metadata.
   static F stage(const PackedHodlr<T>& p, const FactorOptions& opt) {
     F f;
     f.tree_ = p.tree;
@@ -23,9 +27,13 @@ struct FactorEngine {
     f.total_cols_ = p.total_cols;
     f.level_uniform_ = p.level_uniform;
     f.leaves_uniform_ = p.leaves_uniform;
-    f.ybig_ = to_matrix(ConstMatrixView<T>(p.ubig));  // Ybig overwrites Ubig
-    f.vbig_ = to_matrix(ConstMatrixView<T>(p.vbig));
-    f.dfac_ = p.dbig;
+    f.panels_ = p.panels;
+    f.ybig_ = AlignedBuffer<T>(p.panels->ubig.size());
+    parallel_copy(p.panels->ubig.data(),
+                  static_cast<index_t>(f.ybig_.size()), f.ybig_.data());
+    f.dfac_ = AlignedBuffer<T>(p.panels->dbig.size());
+    parallel_copy(p.panels->dbig.data(),
+                  static_cast<index_t>(f.dfac_.size()), f.dfac_.data());
     f.d_offset_ = p.d_offset;
     f.d_ipiv_.assign(p.n, 0);
 
@@ -42,9 +50,9 @@ struct FactorEngine {
     }
 
     // Device accounting: the packed data crosses the link once; the
-    // factorization storage lives on the device.
+    // factorization storage and the V it reads live on the device.
     DeviceContext::global().record_h2d(p.bytes());
-    f.device_mem_ = DeviceAllocation(f.storage_bytes());
+    f.device_mem_ = DeviceAllocation(f.device_bytes());
     return f;
   }
 
@@ -77,19 +85,14 @@ struct FactorEngine {
   // --- shared view helpers ------------------------------------------------
   static index_t depth(const F& f) { return f.tree_.depth(); }
 
-  /// Panel of `m` for tree level `level` restricted to node `nu`'s rows.
-  template <typename MatLike>
-  static auto node_panel(const F& f, MatLike& m, index_t nu) {
-    const index_t level = ClusterTree::level_of(nu);
-    const ClusterNode& c = f.tree_.node(nu);
-    return m.block(c.begin, f.col_offset_[level], c.size(),
-                   f.level_rank_[level]);
+  /// Ybig (N x R, ld = N).
+  static MatrixView<T> ybig(F& f) {
+    const index_t n = f.tree_.n();
+    return {f.ybig_.data(), n, f.total_cols_, n};
   }
-  /// Prefix columns [0, width) of `m` restricted to node `nu`'s rows.
-  template <typename MatLike>
-  static auto node_prefix(const F& f, MatLike& m, index_t nu, index_t width) {
-    const ClusterNode& c = f.tree_.node(nu);
-    return m.block(c.begin, 0, c.size(), width);
+  static ConstMatrixView<T> ybig(const F& f) {
+    const index_t n = f.tree_.n();
+    return {f.ybig_.data(), n, f.total_cols_, n};
   }
 
   static MatrixView<T> leaf_lu(F& f, index_t j) {

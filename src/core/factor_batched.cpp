@@ -34,12 +34,12 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
   const index_t L = depth(f);
   const BatchPolicy policy = f.opt_.policy;
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
-  MatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
-  const T* vdata = f.vbig_.data();
-  T* ydata = f.ybig_.data();
-  const index_t ldv = f.vbig_.rows();
-  const index_t ldy = f.ybig_.rows();
+  MatrixView<T> ybig = FactorEngine<T>::ybig(f);
+  ConstMatrixView<T> vbig = f.vbig();
+  const T* vdata = vbig.data;
+  T* ydata = ybig.data;
+  const index_t ldv = vbig.ld;
+  const index_t ldy = ybig.ld;
 
   // --- Algorithm 3, lines 2-3: batched leaf LU + leaf panel solves --------
   {
@@ -293,12 +293,12 @@ void FactorEngine<T>::run_factor_batched_graph(F& f, FactorReport* report) {
   const index_t L = depth(f);
   const BatchPolicy policy = f.opt_.policy;
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
-  MatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
-  const T* vdata = f.vbig_.data();
-  T* ydata = f.ybig_.data();
-  const index_t ldv = f.vbig_.rows();
-  const index_t ldy = f.ybig_.rows();
+  MatrixView<T> ybig = FactorEngine<T>::ybig(f);
+  ConstMatrixView<T> vbig = f.vbig();
+  const T* vdata = vbig.data;
+  T* ydata = ybig.data;
+  const index_t ldv = vbig.ld;
+  const index_t ldy = ybig.ld;
 
   TaskGraph gph;
   Mutex rec_mu;  // serializes report mutations + lazy pivot storage
@@ -706,12 +706,12 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
   const index_t L = depth(f);
   const BatchPolicy policy = f.opt_.policy;
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
-  ConstMatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
-  const T* vdata = f.vbig_.data();
-  const T* ydata = f.ybig_.data();
-  const index_t ldv = f.vbig_.rows();
-  const index_t ldy = f.ybig_.rows();
+  ConstMatrixView<T> ybig = FactorEngine<T>::ybig(f);
+  ConstMatrixView<T> vbig = f.vbig();
+  const T* vdata = vbig.data;
+  const T* ydata = ybig.data;
+  const index_t ldv = vbig.ld;
+  const index_t ldy = ybig.ld;
   const index_t nrhs = x.cols;
 
   // --- Algorithm 4, line 2: batched leaf solves (blocked TRSM engine:

@@ -20,8 +20,8 @@ template <typename T>
 void FactorEngine<T>::run_factor_serial(F& f, FactorReport* report) {
   const ClusterTree& tree = f.tree_;
   const index_t L = depth(f);
-  MatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
+  MatrixView<T> ybig = FactorEngine<T>::ybig(f);
+  ConstMatrixView<T> vbig = f.vbig();
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
 
   // --- Algorithm 1, lines 2-5: leaf LU + leaf solves against all panels ---
@@ -134,8 +134,8 @@ template <typename T>
 void FactorEngine<T>::run_solve_serial(const F& f, MatrixView<T> x) {
   const ClusterTree& tree = f.tree_;
   const index_t L = depth(f);
-  ConstMatrixView<T> ybig = f.ybig_;
-  ConstMatrixView<T> vbig = f.vbig_;
+  ConstMatrixView<T> ybig = FactorEngine<T>::ybig(f);
+  ConstMatrixView<T> vbig = f.vbig();
   const bool pivoted = f.opt_.kform == KForm::kPivoted;
   const index_t nrhs = x.cols;
 

@@ -16,11 +16,11 @@ namespace hodlrx {
 
 namespace {
 
-/// View a flat coefficient vector as one tall column for the finite scans.
+/// View a flat coefficient array as one tall column for the finite scans.
 template <typename T>
-ConstMatrixView<T> flat_view(const std::vector<T>& v) {
-  const index_t sz = static_cast<index_t>(v.size());
-  return {v.data(), sz, 1, std::max<index_t>(sz, 1)};
+ConstMatrixView<T> flat_view(const T* data, std::size_t size) {
+  const index_t sz = static_cast<index_t>(size);
+  return {data, sz, 1, std::max<index_t>(sz, 1)};
 }
 
 }  // namespace
@@ -43,18 +43,20 @@ HodlrFactorization<T> HodlrFactorization<T>::factor(
         std::max(report->max_pivot_growth, lu_stats::max_pivot_growth());
   // The recovery ladder may have grown the factorization (pivot storage for
   // re-factored K blocks): re-register the device allocation so the memory
-  // accounting keeps matching storage_bytes().
+  // accounting keeps matching device_bytes().
   if (opt.kform != KForm::kPivoted)
     for (const LevelK& k : f.kfac_)
       if (!k.ipiv.empty()) {
-        f.device_mem_ = DeviceAllocation(f.storage_bytes());
+        f.device_mem_ = DeviceAllocation(f.device_bytes());
         break;
       }
   if (check_finite_enabled()) {
-    index_t bad = count_nonfinite(ConstMatrixView<T>(f.ybig_)) +
-                  count_nonfinite(ConstMatrixView<T>(f.vbig_)) +
-                  count_nonfinite(flat_view(f.dfac_));
-    for (const LevelK& k : f.kfac_) bad += count_nonfinite(flat_view(k.data));
+    using Engine = detail::FactorEngine<T>;
+    index_t bad = count_nonfinite<T>(Engine::ybig(f)) +
+                  count_nonfinite(f.vbig()) +
+                  count_nonfinite(flat_view(f.dfac_.data(), f.dfac_.size()));
+    for (const LevelK& k : f.kfac_)
+      bad += count_nonfinite(flat_view(k.data.data(), k.data.size()));
     if (bad > 0) {
       if (report != nullptr) {
         report->nonfinite_values += bad;
@@ -177,8 +179,7 @@ SolveReport HodlrFactorization<T>::solve_checked(const HodlrMatrix<T>& a,
 
 template <typename T>
 std::size_t HodlrFactorization<T>::storage_bytes() const {
-  std::size_t bytes = ybig_.bytes() + vbig_.bytes() +
-                      dfac_.size() * sizeof(T) +
+  std::size_t bytes = ybig_.bytes() + dfac_.bytes() +
                       d_ipiv_.size() * sizeof(index_t);
   for (const LevelK& k : kfac_)
     bytes += k.data.size() * sizeof(T) + k.ipiv.size() * sizeof(index_t);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+
 #include "core/packed.hpp"
 #include "device/device.hpp"
 
@@ -11,9 +13,12 @@
 /// Both engines run the SAME sweep over the packed big-matrix layout and
 /// produce bit-comparable factors; they differ only in how the per-node
 /// BLAS/LAPACK work is issued (plain single-thread loops vs batched device
-/// kernels). The factorization owns device copies of Ybig (overwriting
-/// Ubig), Vbig, the leaf LU factors, and the per-level K-matrix LU factors,
-/// so the source PackedHodlr stays valid for residual checks.
+/// kernels). The factorization copies only what it overwrites: Ybig (a copy
+/// of Ubig, solved in place), the leaf blocks (LU-factored in place), plus
+/// its own per-level K-matrix LU factors. It reads Vbig in place from the
+/// operator's panels, which it co-owns, so the source HodlrMatrix and
+/// PackedHodlr stay valid for residual checks and may also be destroyed
+/// first.
 
 namespace hodlrx {
 
@@ -27,7 +32,7 @@ class HodlrFactorization {
  public:
   /// Factor the packed HODLR matrix. Simulates the paper's workflow: the
   /// packed data is "copied to the device" (transfer recorded), then
-  /// factorized in place on the device.
+  /// factorized on the device. The U and leaf copies run as pool launches.
   ///
   /// Breakdown handling follows opt.on_breakdown: a zero pivot in the
   /// pivot-free K form (KForm::kIdentityDiagonal) throws under kThrow (the
@@ -76,8 +81,16 @@ class HodlrFactorization {
   ExecMode mode() const { return opt_.mode; }
   const FactorOptions& options() const { return opt_; }
 
-  /// Bytes held by the factorization (the paper's `mem` column).
+  /// Bytes the factorization owns: Ybig, the leaf LUs with their pivots and
+  /// the K factors. V is the operator's and counted by HodlrMatrix::bytes().
   std::size_t bytes() const { return storage_bytes(); }
+  /// Modeled device footprint: bytes() plus the Vbig the solves read.
+  std::size_t device_bytes() const {
+    return storage_bytes() + panels_->vbig.bytes();
+  }
+  /// The V panels the factor and solve stages read, shared with the
+  /// HodlrMatrix (N x R, ld = N).
+  ConstMatrixView<T> vbig() const { return panels_->v(); }
 
  private:
   HodlrFactorization() = default;
@@ -114,9 +127,10 @@ class HodlrFactorization {
   std::vector<char> level_uniform_;
   bool leaves_uniform_ = false;
 
-  Matrix<T> ybig_;               ///< factored panels (was Ubig)
-  Matrix<T> vbig_;               ///< device copy of Vbig (needed by solves)
-  std::vector<T> dfac_;          ///< leaf blocks, LU-factored in place
+  /// The operator's panels: V is read in place, never copied.
+  std::shared_ptr<const HodlrPanels<T>> panels_;
+  AlignedBuffer<T> ybig_;        ///< N x R, ld = N: Ubig, solved in place
+  AlignedBuffer<T> dfac_;        ///< leaf blocks, LU-factored in place
   std::vector<index_t> d_offset_;
   std::vector<index_t> d_ipiv_;  ///< leaf pivots, indexed by global row
   std::vector<LevelK> kfac_;     ///< kfac_[l] for sweep step l = 0..L-1

@@ -1,10 +1,12 @@
 #include "core/hodlr.hpp"
 
+#include <algorithm>
 #include <complex>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/aligned.hpp"
+#include "batched/batched_blas.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
@@ -35,19 +37,128 @@ void fold_rsvd_breakdowns(const RsvdBreakdowns& bd, FactorReport* report) {
       " recovered by the serial re-run");
 }
 
-/// HODLRX_CHECK_FINITE scan of the compressed representation (leaves and
-/// low-rank bases) at the end of build.
+/// Leaf offsets into dbig (size leaves + 1).
+std::vector<index_t> leaf_offsets(const ClusterTree& tree) {
+  std::vector<index_t> off(static_cast<std::size_t>(tree.num_leaves()) + 1, 0);
+  for (index_t j = 0; j < tree.num_leaves(); ++j) {
+    const index_t sz = tree.node(tree.leaf(j)).size();
+    off[j + 1] = off[j] + sz * sz;
+  }
+  return off;
+}
+
+/// Node `nu`'s rows of its level panel in `big` (ld = n), first `cols`
+/// columns; a null view when there are none (the panels may be empty).
 template <typename T>
-void scan_build_finite(HodlrMatrix<T>& h, OnBreakdown policy,
+ConstMatrixView<T> node_block(const PanelLayout& lay, const T* big,
+                              index_t nu, index_t cols) {
+  const ClusterNode& c = lay.tree.node(nu);
+  if (cols == 0) return {nullptr, c.size(), 0, std::max<index_t>(lay.n, 1)};
+  return {big + c.begin + lay.col_offset[ClusterTree::level_of(nu)] * lay.n,
+          c.size(), cols, lay.n};
+}
+
+/// Per-node factors as the compressors produce them, and the leaf storage
+/// the leaf tasks fill in place. finalize() turns them into a HodlrMatrix.
+template <typename T>
+struct Staged {
+  explicit Staged(const ClusterTree& t)
+      : tree(t),
+        d_offset(leaf_offsets(t)),
+        u(static_cast<std::size_t>(t.num_nodes())),
+        v(static_cast<std::size_t>(t.num_nodes())),
+        panels(std::make_shared<HodlrPanels<T>>()) {
+    panels->dbig = AlignedBuffer<T>(static_cast<std::size_t>(d_offset.back()));
+  }
+  /// The j-th leaf's slot in dbig.
+  MatrixView<T> leaf(index_t j) {
+    const index_t sz = tree.node(tree.leaf(j)).size();
+    return {panels->dbig.data() + d_offset[j], sz, sz, sz};
+  }
+
+  const ClusterTree& tree;
+  std::vector<index_t> d_offset;
+  std::vector<Matrix<T>> u, v;  ///< per node id; [0] unused
+  std::shared_ptr<HodlrPanels<T>> panels;
+};
+
+/// Rows [i0, i0 + rows) of staged factor `f` into its panel slot at `dst`
+/// (ld = `ld`, `width` columns): f's columns first, zeros to the right.
+template <typename T>
+void write_rows(const Matrix<T>& f, index_t i0, index_t rows, T* dst,
+                index_t ld, index_t width) {
+  for (index_t j = 0; j < width; ++j) {
+    T* col = dst + j * ld;
+    if (j < f.cols())
+      std::copy_n(f.data() + i0 + j * f.rows(), rows, col);
+    else
+      std::fill_n(col, rows, T{});
+  }
+}
+
+/// Allocate the level panels once every rank is known and write each staged
+/// factor into them exactly once, padding included: one pool launch per
+/// level over row slices (so every thread writes, and first-touches, its own
+/// rows), after which that level's staged factors are freed.
+template <typename T>
+HodlrMatrix<T> finalize(Staged<T>&& st) {
+  const ClusterTree& tree = st.tree;
+  const index_t n = tree.n();
+  std::vector<index_t> rank(static_cast<std::size_t>(tree.num_nodes()), 0);
+  for (index_t nu = 1; nu < tree.num_nodes(); ++nu) {
+    const Matrix<T>& u = st.u[nu];
+    const Matrix<T>& v = st.v[nu];
+    rank[nu] = u.cols();
+    HODLRX_REQUIRE(st.v[ClusterTree::sibling(nu)].cols() == u.cols() &&
+                       (u.cols() == 0 || u.rows() == tree.node(nu).size()) &&
+                       (v.cols() == 0 || v.rows() == tree.node(nu).size()),
+                   "build: inconsistent factors on node " << nu);
+  }
+  PanelLayout layout = PanelLayout::make(tree, std::move(rank));
+  HodlrPanels<T>& p = *st.panels;
+  p.n = n;
+  p.cols = layout.total_cols;
+  const std::size_t size = static_cast<std::size_t>(n) * layout.total_cols;
+  p.ubig = AlignedBuffer<T>(size);
+  p.vbig = AlignedBuffer<T>(size);
+  for (index_t level = 1; level <= tree.depth(); ++level) {
+    const index_t begin = ClusterTree::level_begin(level);
+    const index_t end = ClusterTree::level_begin(level + 1);
+    const index_t width = layout.level_rank[level];
+    const index_t col0 = layout.col_offset[level] * n;
+    if (width > 0)
+      parallel_chunks(n, [&](index_t i0, index_t rows) {
+        for (index_t nu = begin; nu < end; ++nu) {
+          const ClusterNode& c = tree.node(nu);
+          const index_t r0 = std::max(i0, c.begin);
+          const index_t r1 = std::min(i0 + rows, c.end);
+          if (r0 >= r1) continue;
+          write_rows(st.u[nu], r0 - c.begin, r1 - r0,
+                     p.ubig.data() + col0 + r0, n, width);
+          write_rows(st.v[nu], r0 - c.begin, r1 - r0,
+                     p.vbig.data() + col0 + r0, n, width);
+        }
+      });
+    for (index_t nu = begin; nu < end; ++nu) {
+      st.u[nu] = Matrix<T>();
+      st.v[nu] = Matrix<T>();
+    }
+  }
+  return HodlrMatrix<T>(std::move(layout), std::move(st.panels));
+}
+
+/// HODLRX_CHECK_FINITE scan of the compressed representation (leaves and
+/// panels) at the end of build.
+template <typename T>
+void scan_build_finite(const HodlrMatrix<T>& h, OnBreakdown policy,
                        FactorReport* report) {
   if (!check_finite_enabled()) return;
-  index_t bad = 0;
-  for (index_t j = 0; j < h.tree().num_leaves(); ++j)
-    bad += count_nonfinite(ConstMatrixView<T>(h.leaf_block(j)));
-  for (index_t nu = 1; nu < h.tree().num_nodes(); ++nu) {
-    bad += count_nonfinite(ConstMatrixView<T>(h.u(nu)));
-    bad += count_nonfinite(ConstMatrixView<T>(h.v(nu)));
-  }
+  const HodlrPanels<T>& p = *h.panels();
+  const index_t dsize = static_cast<index_t>(p.dbig.size());
+  const index_t bad =
+      count_nonfinite(p.u()) + count_nonfinite(p.v()) +
+      count_nonfinite(ConstMatrixView<T>(p.dbig.data(), dsize, 1,
+                                         std::max<index_t>(dsize, 1)));
   if (bad == 0) return;
   if (report != nullptr) {
     report->nonfinite_values += bad;
@@ -90,16 +201,16 @@ RsvdOptions rsvd_options(const BuildOptions& opt) {
 /// A(I_2j, I_2j+1) row-basis lands on node 2j, its column basis on the
 /// sibling; vice versa for the "lower" sweep.
 template <typename T>
-void store_level_factors(HodlrMatrix<T>& h, index_t begin, index_t q,
+void store_level_factors(Staged<T>& st, index_t begin, index_t q,
                          std::vector<LowRankFactor<T>>&& upper,
                          std::vector<LowRankFactor<T>>&& lower) {
   for (index_t j = 0; j < q; ++j) {
     const index_t nu = begin + 2 * j;   // rows of the upper block
     const index_t sib = nu + 1;         // rows of the lower block
-    h.u(nu) = std::move(upper[j].u);
-    h.v(sib) = std::move(upper[j].v);
-    h.u(sib) = std::move(lower[j].u);
-    h.v(nu) = std::move(lower[j].v);
+    st.u[nu] = std::move(upper[j].u);
+    st.v[sib] = std::move(upper[j].v);
+    st.u[sib] = std::move(lower[j].u);
+    st.v[nu] = std::move(lower[j].v);
   }
 }
 
@@ -110,11 +221,9 @@ void store_level_factors(HodlrMatrix<T>& h, index_t begin, index_t q,
 /// fast path (see rsvd_strided_batched). Non-uniform levels fall back to an
 /// independent rsvd per block.
 template <typename T>
-HodlrMatrix<T> build_from_dense_rsvd(ConstMatrixView<T> a,
-                                     const ClusterTree& tree,
-                                     const BuildOptions& opt,
-                                     HodlrMatrix<T>&& h,
-                                     FactorReport* report) {
+void build_from_dense_rsvd(ConstMatrixView<T> a, const ClusterTree& tree,
+                           const BuildOptions& opt, Staged<T>& st,
+                           FactorReport* report) {
   RsvdOptions ropt = rsvd_options(opt);
   RsvdBreakdowns bd;
   ropt.on_breakdown = opt.on_breakdown;
@@ -137,7 +246,7 @@ HodlrMatrix<T> build_from_dense_rsvd(ConstMatrixView<T> a,
       ropt.seed = opt.seed + 2 * level + 1;
       auto lower = rsvd_strided_batched<T>(a.data + (b0 + s) + b0 * a.ld,
                                            a.ld, stride, s, s, q, ropt);
-      store_level_factors<T>(h, begin, q, std::move(upper), std::move(lower));
+      store_level_factors<T>(st, begin, q, std::move(upper), std::move(lower));
     } else {
       ropt.seed = opt.seed + 2 * level;
       parallel_for(count, [&](index_t t) {
@@ -147,18 +256,16 @@ HodlrMatrix<T> build_from_dense_rsvd(ConstMatrixView<T> a,
         const ClusterNode& colc = tree.node(sib);
         LowRankFactor<T> f = rsvd<T>(
             a.block(rowc.begin, colc.begin, rowc.size(), colc.size()), ropt);
-        h.u(nu) = std::move(f.u);
-        h.v(sib) = std::move(f.v);
+        st.u[nu] = std::move(f.u);
+        st.v[sib] = std::move(f.v);
       });
     }
   }
   parallel_for(tree.num_leaves(), [&](index_t j) {
     const ClusterNode& c = tree.node(tree.leaf(j));
-    h.leaf_block(j) = to_matrix(a.block(c.begin, c.begin, c.size(), c.size()));
+    copy(a.block(c.begin, c.begin, c.size(), c.size()), st.leaf(j));
   });
   fold_rsvd_breakdowns(bd, report);
-  scan_build_finite(h, opt.on_breakdown, report);
-  return std::move(h);
 }
 
 /// Batched-rsvd construction straight from a MatrixGenerator — the
@@ -172,11 +279,9 @@ HodlrMatrix<T> build_from_dense_rsvd(ConstMatrixView<T> a,
 /// reused (not reallocated) by every deeper level. Non-uniform levels
 /// materialize and compress block-by-block across the pool.
 template <typename T>
-HodlrMatrix<T> build_from_generator_rsvd(const MatrixGenerator<T>& g,
-                                         const ClusterTree& tree,
-                                         const BuildOptions& opt,
-                                         HodlrMatrix<T>&& h,
-                                         FactorReport* report) {
+void build_from_generator_rsvd(const MatrixGenerator<T>& g,
+                               const ClusterTree& tree, const BuildOptions& opt,
+                               Staged<T>& st, FactorReport* report) {
   RsvdOptions ropt = rsvd_options(opt);
   RsvdBreakdowns bd;
   ropt.on_breakdown = opt.on_breakdown;
@@ -211,7 +316,7 @@ HodlrMatrix<T> build_from_generator_rsvd(const MatrixGenerator<T>& g,
       };
       auto upper = sweep(/*upper_side=*/true);
       auto lower = sweep(/*upper_side=*/false);
-      store_level_factors<T>(h, begin, q, std::move(upper), std::move(lower));
+      store_level_factors<T>(st, begin, q, std::move(upper), std::move(lower));
     } else {
       ropt.seed = opt.seed + 2 * level;
       parallel_for(count, [&](index_t t) {
@@ -222,19 +327,16 @@ HodlrMatrix<T> build_from_generator_rsvd(const MatrixGenerator<T>& g,
         Matrix<T> block(rowc.size(), colc.size());
         g.fill_block(rowc.begin, colc.begin, block);
         LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-        h.u(nu) = std::move(f.u);
-        h.v(sib) = std::move(f.v);
+        st.u[nu] = std::move(f.u);
+        st.v[sib] = std::move(f.v);
       });
     }
   }
   parallel_for(tree.num_leaves(), [&](index_t j) {
     const ClusterNode& c = tree.node(tree.leaf(j));
-    h.leaf_block(j) = Matrix<T>(c.size(), c.size());
-    g.fill_block(c.begin, c.begin, h.leaf_block(j));
+    g.fill_block(c.begin, c.begin, st.leaf(j));
   });
   fold_rsvd_breakdowns(bd, report);
-  scan_build_finite(h, opt.on_breakdown, report);
-  return std::move(h);
 }
 
 /// One uniform level side of a graph-mode compression sweep (level `level`,
@@ -266,17 +368,17 @@ inline std::vector<SweepSide> collect_uniform_sides(const ClusterTree& tree) {
 
 /// Store one side's factors (the per-side half of store_level_factors).
 template <typename T>
-void store_side_factors(HodlrMatrix<T>& h, const SweepSide& side,
+void store_side_factors(Staged<T>& st, const SweepSide& side,
                         std::vector<LowRankFactor<T>>&& fs) {
   for (index_t j = 0; j < side.q; ++j) {
     const index_t nu = side.begin + 2 * j;
     const index_t sib = nu + 1;
     if (side.upper) {
-      h.u(nu) = std::move(fs[j].u);
-      h.v(sib) = std::move(fs[j].v);
+      st.u[nu] = std::move(fs[j].u);
+      st.v[sib] = std::move(fs[j].v);
     } else {
-      h.u(sib) = std::move(fs[j].u);
-      h.v(nu) = std::move(fs[j].v);
+      st.u[sib] = std::move(fs[j].u);
+      st.v[nu] = std::move(fs[j].v);
     }
   }
 }
@@ -333,11 +435,9 @@ inline void declare_side_stores(TaskGraph& gph, TaskGraph::NodeId id,
 /// the leaf copies) run concurrently — level L+1's compression overlaps
 /// level L's batched QR/SVD drain instead of waiting at a level barrier.
 template <typename T>
-HodlrMatrix<T> build_from_dense_rsvd_graph(ConstMatrixView<T> a,
-                                           const ClusterTree& tree,
-                                           const BuildOptions& opt,
-                                           HodlrMatrix<T>&& h,
-                                           FactorReport* report) {
+void build_from_dense_rsvd_graph(ConstMatrixView<T> a, const ClusterTree& tree,
+                                 const BuildOptions& opt, Staged<T>& st,
+                                 FactorReport* report) {
   const RsvdOptions base = rsvd_options(opt);
   const std::vector<SweepSide> sides = collect_uniform_sides(tree);
   // Per-side breakdown counters: compress nodes run concurrently, so each
@@ -358,12 +458,12 @@ HodlrMatrix<T> build_from_dense_rsvd_graph(ConstMatrixView<T> a,
       ropt.seed = opt.seed + 2 * side.level + (side.upper ? 0 : 1);
       auto fs = rsvd_strided_batched<T>(base_ptr, a.ld, stride, side.s,
                                         side.s, side.q, ropt);
-      store_side_factors<T>(h, side, std::move(fs));
+      store_side_factors<T>(st, side, std::move(fs));
     }, "compress", side.level, side.upper ? 0 : 1);
-    declare_side_stores(gph, id, &h, side);
+    declare_side_stores(gph, id, &st, side);
   }
   add_irregular_nodes<T>(
-      gph, tree, &h,
+      gph, tree, &st,
       [&](index_t level, index_t nu) {
         const index_t sib = ClusterTree::sibling(nu);
         const ClusterNode& rowc = tree.node(nu);
@@ -373,13 +473,12 @@ HodlrMatrix<T> build_from_dense_rsvd_graph(ConstMatrixView<T> a,
         ropt.seed = opt.seed + 2 * level;
         LowRankFactor<T> f = rsvd<T>(
             a.block(rowc.begin, colc.begin, rowc.size(), colc.size()), ropt);
-        h.u(nu) = std::move(f.u);
-        h.v(sib) = std::move(f.v);
+        st.u[nu] = std::move(f.u);
+        st.v[sib] = std::move(f.v);
       },
       [&](index_t j) {
         const ClusterNode& c = tree.node(tree.leaf(j));
-        h.leaf_block(j) =
-            to_matrix(a.block(c.begin, c.begin, c.size(), c.size()));
+        copy(a.block(c.begin, c.begin, c.size(), c.size()), st.leaf(j));
       });
   gph.run();
   RsvdBreakdowns bd;
@@ -388,8 +487,6 @@ HodlrMatrix<T> build_from_dense_rsvd_graph(ConstMatrixView<T> a,
     bd.svd_recovered += b.svd_recovered;
   }
   fold_rsvd_breakdowns(bd, report);
-  scan_build_finite(h, opt.on_breakdown, report);
-  return std::move(h);
 }
 
 /// Dependency-graph twin of build_from_generator_rsvd. Nodes: one tile-
@@ -402,11 +499,10 @@ HodlrMatrix<T> build_from_dense_rsvd_graph(ConstMatrixView<T> a,
 /// cost of two live level sides instead of one (peak 2x the levels-mode
 /// workspace; still at most half the dense matrix).
 template <typename T>
-HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
-                                               const ClusterTree& tree,
-                                               const BuildOptions& opt,
-                                               HodlrMatrix<T>&& h,
-                                               FactorReport* report) {
+void build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
+                                     const ClusterTree& tree,
+                                     const BuildOptions& opt, Staged<T>& st,
+                                     FactorReport* report) {
   const RsvdOptions base = rsvd_options(opt);
   const std::vector<SweepSide> sides = collect_uniform_sides(tree);
   std::vector<RsvdBreakdowns> bds(sides.size() + 1);
@@ -438,13 +534,13 @@ HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
       ropt.seed = opt.seed + 2 * side.level + (side.upper ? 0 : 1);
       auto fs = rsvd_strided_batched<T>(wdata, side.s, side.s * side.s,
                                         side.s, side.s, side.q, ropt);
-      store_side_factors<T>(h, side, std::move(fs));
+      store_side_factors<T>(st, side, std::move(fs));
     }, "compress", side.level, side.upper ? 0 : 1);
     // Audit: the compress node reads the whole staged slot (flattened
     // element offsets; the slot base is the space identity) and stores the
     // side's factors.
     gph.reads(compress_node[k], wdata, 0, side.q * side.s * side.s);
-    declare_side_stores(gph, compress_node[k], &h, side);
+    declare_side_stores(gph, compress_node[k], &st, side);
   }
   for (std::size_t k = 0; k < sides.size(); ++k) {
     const SweepSide side = sides[k];
@@ -470,7 +566,7 @@ HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
     }
   }
   add_irregular_nodes<T>(
-      gph, tree, &h,
+      gph, tree, &st,
       [&](index_t level, index_t nu) {
         const index_t sib = ClusterTree::sibling(nu);
         const ClusterNode& rowc = tree.node(nu);
@@ -481,13 +577,12 @@ HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
         ropt.on_breakdown = opt.on_breakdown;
         ropt.seed = opt.seed + 2 * level;
         LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-        h.u(nu) = std::move(f.u);
-        h.v(sib) = std::move(f.v);
+        st.u[nu] = std::move(f.u);
+        st.v[sib] = std::move(f.v);
       },
       [&](index_t j) {
         const ClusterNode& c = tree.node(tree.leaf(j));
-        h.leaf_block(j) = Matrix<T>(c.size(), c.size());
-        g.fill_block(c.begin, c.begin, h.leaf_block(j));
+        g.fill_block(c.begin, c.begin, st.leaf(j));
       });
   gph.run();
   RsvdBreakdowns bd;
@@ -496,8 +591,6 @@ HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
     bd.svd_recovered += b.svd_recovered;
   }
   fold_rsvd_breakdowns(bd, report);
-  scan_build_finite(h, opt.on_breakdown, report);
-  return std::move(h);
 }
 
 /// Stream-issued twin of build_from_generator_rsvd for asynchronous
@@ -513,16 +606,15 @@ HodlrMatrix<T> build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
 /// backend-owned memory), so an allocation failure takes the device.alloc
 /// drain-and-retry recovery rung.
 template <typename T>
-HodlrMatrix<T> build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
-                                               const ClusterTree& tree,
-                                               const BuildOptions& opt,
-                                               HodlrMatrix<T>&& h,
-                                               FactorReport* report) {
+void build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
+                                     const ClusterTree& tree,
+                                     const BuildOptions& opt, Staged<T>& st,
+                                     FactorReport* report) {
   const RsvdOptions base = rsvd_options(opt);
   const std::vector<SweepSide> sides = collect_uniform_sides(tree);
   std::vector<RsvdBreakdowns> bds(sides.size() + 1);
   // Deferred compressions write their factors here (one slot per side, no
-  // sharing); the factors are moved into h only after the streams drain.
+  // sharing); the factors are moved into `st` only after the streams drain.
   std::vector<std::vector<LowRankFactor<T>>> results(sides.size());
 
   std::size_t slot_need[2] = {0, 0};
@@ -570,7 +662,7 @@ HodlrMatrix<T> build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
     streams[0].synchronize();
     streams[1].synchronize();
     for (std::size_t k = 0; k < sides.size(); ++k)
-      store_side_factors<T>(h, sides[k], std::move(results[k]));
+      store_side_factors<T>(st, sides[k], std::move(results[k]));
   }
 
   RsvdOptions ropt = base;
@@ -589,14 +681,13 @@ HodlrMatrix<T> build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
       Matrix<T> block(rowc.size(), colc.size());
       g.fill_block(rowc.begin, colc.begin, block);
       LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-      h.u(nu) = std::move(f.u);
-      h.v(sib) = std::move(f.v);
+      st.u[nu] = std::move(f.u);
+      st.v[sib] = std::move(f.v);
     });
   }
   parallel_for(tree.num_leaves(), [&](index_t j) {
     const ClusterNode& c = tree.node(tree.leaf(j));
-    h.leaf_block(j) = Matrix<T>(c.size(), c.size());
-    g.fill_block(c.begin, c.begin, h.leaf_block(j));
+    g.fill_block(c.begin, c.begin, st.leaf(j));
   });
   RsvdBreakdowns bd;
   for (const RsvdBreakdowns& b : bds) {
@@ -604,11 +695,55 @@ HodlrMatrix<T> build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
     bd.svd_recovered += b.svd_recovered;
   }
   fold_rsvd_breakdowns(bd, report);
-  scan_build_finite(h, opt.on_breakdown, report);
-  return std::move(h);
 }
 
 }  // namespace
+
+PanelLayout PanelLayout::make(const ClusterTree& tree,
+                              std::vector<index_t> node_rank) {
+  HODLRX_REQUIRE(static_cast<index_t>(node_rank.size()) == tree.num_nodes(),
+                 "PanelLayout: " << node_rank.size() << " ranks for "
+                                 << tree.num_nodes() << " nodes");
+  PanelLayout p;
+  p.tree = tree;
+  p.n = tree.n();
+  const index_t depth = tree.depth();
+  p.node_rank = std::move(node_rank);
+  p.level_rank.assign(depth + 1, 0);
+  for (index_t nu = 1; nu < tree.num_nodes(); ++nu) {
+    index_t& lr = p.level_rank[ClusterTree::level_of(nu)];
+    lr = std::max(lr, p.node_rank[nu]);
+  }
+  p.col_offset.assign(depth + 2, 0);
+  for (index_t l = 1; l <= depth; ++l)
+    p.col_offset[l + 1] = p.col_offset[l] + p.level_rank[l];
+  p.total_cols = p.col_offset[depth + 1];
+  p.level_uniform.assign(depth + 1, 1);
+  for (index_t l = 0; l <= depth; ++l) {
+    const index_t first = ClusterTree::level_begin(l);
+    for (index_t i = first; i < ClusterTree::level_begin(l + 1); ++i)
+      if (tree.node(i).size() != tree.node(first).size())
+        p.level_uniform[l] = 0;
+  }
+  p.leaves_uniform = p.level_uniform[depth] != 0;
+  p.d_offset = leaf_offsets(tree);
+  return p;
+}
+
+template <typename T>
+HodlrMatrix<T>::HodlrMatrix(PanelLayout layout,
+                            std::shared_ptr<const HodlrPanels<T>> panels)
+    : layout_(std::move(layout)), panels_(std::move(panels)) {
+  const std::size_t size =
+      static_cast<std::size_t>(layout_.n) * layout_.total_cols;
+  HODLRX_REQUIRE(panels_ != nullptr && panels_->n == layout_.n &&
+                     panels_->cols == layout_.total_cols &&
+                     panels_->ubig.size() == size &&
+                     panels_->vbig.size() == size &&
+                     panels_->dbig.size() ==
+                         static_cast<std::size_t>(layout_.d_offset.back()),
+                 "HodlrMatrix: panels do not match the layout");
+}
 
 template <typename T>
 HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
@@ -618,20 +753,17 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
   HODLRX_REQUIRE(g.rows() == tree.n() && g.cols() == tree.n(),
                  "build: generator is " << g.rows() << "x" << g.cols()
                                         << " but tree has n=" << tree.n());
-  HodlrMatrix<T> h;
-  h.tree_ = tree;
-  h.u_.resize(tree.num_nodes());
-  h.v_.resize(tree.num_nodes());
-  h.leaf_d_.resize(tree.num_leaves());
-
+  Staged<T> st(tree);
   if (opt.compressor == Compressor::kRsvdBatched) {
     if (sched_mode() == SchedMode::kGraph)
-      return build_from_generator_rsvd_graph<T>(g, tree, opt, std::move(h),
-                                                report);
-    if (backend().asynchronous())
-      return build_from_generator_rsvd_async<T>(g, tree, opt, std::move(h),
-                                                report);
-    return build_from_generator_rsvd<T>(g, tree, opt, std::move(h), report);
+      build_from_generator_rsvd_graph<T>(g, tree, opt, st, report);
+    else if (backend().asynchronous())
+      build_from_generator_rsvd_async<T>(g, tree, opt, st, report);
+    else
+      build_from_generator_rsvd<T>(g, tree, opt, st, report);
+    HodlrMatrix<T> h = finalize(std::move(st));
+    scan_build_finite(h, opt.on_breakdown, report);
+    return h;
   }
 
   AcaOptions aopt;
@@ -676,13 +808,12 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
           recompress(res.factor, static_cast<real_t<T>>(opt.tol),
                      opt.max_rank);
         // Rows of the block live on nu -> U_nu; columns on sib -> V_sib.
-        h.u_[nu] = std::move(res.factor.u);
-        h.v_[sib] = std::move(res.factor.v);
+        st.u[nu] = std::move(res.factor.u);
+        st.v[sib] = std::move(res.factor.v);
       } else {
         const index_t j = task - num_offdiag;
         const ClusterNode& c = tree.node(tree.leaf(j));
-        h.leaf_d_[j] = Matrix<T>(c.size(), c.size());
-        g.fill_block(c.begin, c.begin, h.leaf_d_[j]);
+        g.fill_block(c.begin, c.begin, st.leaf(j));
       }
     } catch (const std::exception& e) {
       errors[task] = e.what();
@@ -710,7 +841,7 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
       report->events.push_back(
           "build: aca stalled on block (" + std::to_string(nu) + ", " +
           std::to_string(sib) + ") at rank " +
-          std::to_string(h.u_[nu].cols()));
+          std::to_string(st.u[nu].cols()));
     }
     if (opt.on_breakdown != OnBreakdown::kRecover) continue;
     Matrix<T> block(rowc.size(), colc.size());
@@ -720,7 +851,7 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
         opt.max_rank > 0
             ? std::min<index_t>(opt.max_rank, minmn)
             : std::min<index_t>(
-                  minmn, std::max<index_t>(64, 2 * h.u_[nu].cols()));
+                  minmn, std::max<index_t>(64, 2 * st.u[nu].cols()));
     RsvdOptions ropt;
     ropt.oversampling = opt.rsvd_oversampling;
     ropt.power_iterations = std::max(opt.rsvd_power_iterations, 2);
@@ -733,8 +864,8 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
       auto fs = rsvd_strided_batched<T>(block.data(), block.rows(), 0,
                                         block.rows(), block.cols(), 1, ropt);
       const bool captured = fs[0].u.cols() < sketch;  // tol tail reached
-      h.u_[nu] = std::move(fs[0].u);
-      h.v_[sib] = std::move(fs[0].v);
+      st.u[nu] = std::move(fs[0].u);
+      st.v[sib] = std::move(fs[0].v);
       if (opt.max_rank > 0 || captured || sketch >= minmn) break;
       sketch = std::min<index_t>(minmn, 2 * sketch);
     }
@@ -743,7 +874,7 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
       ++report->aca_retries;
       report->events.push_back(
           "build: block (" + std::to_string(nu) + ", " + std::to_string(sib) +
-          ") re-compressed via rsvd to rank " + std::to_string(h.u_[nu].cols()));
+          ") re-compressed via rsvd to rank " + std::to_string(st.u[nu].cols()));
     }
   }
   fold_rsvd_breakdowns(bd, report);
@@ -756,17 +887,18 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
     std::vector<LowRankFactor<T>> fs(static_cast<std::size_t>(count));
     for (index_t t = 0; t < count; ++t) {
       const index_t nu = begin + t;
-      fs[static_cast<std::size_t>(t)].u = std::move(h.u_[nu]);
+      fs[static_cast<std::size_t>(t)].u = std::move(st.u[nu]);
       fs[static_cast<std::size_t>(t)].v =
-          std::move(h.v_[ClusterTree::sibling(nu)]);
+          std::move(st.v[ClusterTree::sibling(nu)]);
     }
     recompress_batched<T>(fs, static_cast<real_t<T>>(opt.tol), opt.max_rank);
     for (index_t t = 0; t < count; ++t) {
       const index_t nu = begin + t;
-      h.u_[nu] = std::move(fs[static_cast<std::size_t>(t)].u);
-      h.v_[ClusterTree::sibling(nu)] = std::move(fs[static_cast<std::size_t>(t)].v);
+      st.u[nu] = std::move(fs[static_cast<std::size_t>(t)].u);
+      st.v[ClusterTree::sibling(nu)] = std::move(fs[static_cast<std::size_t>(t)].v);
     }
   }
+  HodlrMatrix<T> h = finalize(std::move(st));
   scan_build_finite(h, opt.on_breakdown, report);
   return h;
 }
@@ -781,97 +913,134 @@ HodlrMatrix<T> HodlrMatrix<T>::build_from_dense(ConstMatrixView<T> a,
                                                 << " but tree has n="
                                                 << tree.n());
   if (opt.compressor == Compressor::kRsvdBatched) {
-    HodlrMatrix<T> h;
-    h.tree_ = tree;
-    h.u_.resize(tree.num_nodes());
-    h.v_.resize(tree.num_nodes());
-    h.leaf_d_.resize(tree.num_leaves());
+    Staged<T> st(tree);
     if (sched_mode() == SchedMode::kGraph)
-      return build_from_dense_rsvd_graph<T>(a, tree, opt, std::move(h),
-                                            report);
-    return build_from_dense_rsvd<T>(a, tree, opt, std::move(h), report);
+      build_from_dense_rsvd_graph<T>(a, tree, opt, st, report);
+    else
+      build_from_dense_rsvd<T>(a, tree, opt, st, report);
+    HodlrMatrix<T> h = finalize(std::move(st));
+    scan_build_finite(h, opt.on_breakdown, report);
+    return h;
   }
   DenseGenerator<T> g(to_matrix(a));
   return build(g, tree, opt, report);
 }
 
 template <typename T>
+ConstMatrixView<T> HodlrMatrix<T>::u(index_t nu) const {
+  return node_block(layout_, panels_->ubig.data(), nu, rank(nu));
+}
+
+template <typename T>
+ConstMatrixView<T> HodlrMatrix<T>::v(index_t nu) const {
+  return node_block(layout_, panels_->vbig.data(), nu,
+                    nu == 0 ? 0 : rank(ClusterTree::sibling(nu)));
+}
+
+template <typename T>
 std::vector<index_t> HodlrMatrix<T>::rank_ladder() const {
-  std::vector<index_t> ladder(tree_.depth(), 0);
-  for (index_t level = 1; level <= tree_.depth(); ++level)
-    for (index_t i = ClusterTree::level_begin(level);
-         i < ClusterTree::level_begin(level + 1); ++i)
-      ladder[level - 1] = std::max(ladder[level - 1], rank(i));
-  return ladder;
+  return {layout_.level_rank.begin() + 1, layout_.level_rank.end()};
 }
 
 template <typename T>
 index_t HodlrMatrix<T>::max_rank() const {
-  index_t r = 0;
-  for (index_t i = 1; i < tree_.num_nodes(); ++i) r = std::max(r, rank(i));
-  return r;
+  const std::vector<index_t>& lr = layout_.level_rank;
+  return *std::max_element(lr.begin(), lr.end());
 }
 
 template <typename T>
 void HodlrMatrix<T>::apply(ConstMatrixView<T> x, MatrixView<T> y) const {
   HODLRX_REQUIRE(x.rows == n() && y.rows == n() && x.cols == y.cols,
                  "apply: shape mismatch");
-  // y = D x on the leaves (disjoint row ranges -> parallel).
-  parallel_for(tree_.num_leaves(), [&](index_t j) {
-    const ClusterNode& c = tree_.node(tree_.leaf(j));
-    gemm(Op::N, Op::N, T{1}, leaf_d_[j],
-         x.block(c.begin, 0, c.size(), x.cols), T{0},
-         y.block(c.begin, 0, c.size(), y.cols));
-  });
-  // Off-diagonal contributions, one level at a time (row ranges within a
-  // level are disjoint, so each level parallelizes cleanly).
-  for (index_t level = 1; level <= tree_.depth(); ++level) {
+  const ClusterTree& tree = layout_.tree;
+  const index_t nn = n(), nrhs = x.cols;
+  if (nrhs == 0) return;
+  // y = D x on the leaves (disjoint row ranges -> one batched launch).
+  if (layout_.leaves_uniform) {
+    const index_t s = tree.node(tree.leaf(0)).size();
+    gemm_strided_batched<T>(Op::N, Op::N, s, nrhs, s, T{1},
+                            panels_->dbig.data(), s, s * s, x.data, x.ld, s,
+                            T{0}, y.data, y.ld, s, tree.num_leaves());
+  } else {
+    const index_t leaves = tree.num_leaves();
+    std::vector<ConstMatrixView<T>> av(leaves), bv(leaves);
+    std::vector<MatrixView<T>> cv(leaves);
+    for (index_t j = 0; j < leaves; ++j) {
+      const ClusterNode& c = tree.node(tree.leaf(j));
+      av[j] = leaf_block(j);
+      bv[j] = x.block(c.begin, 0, c.size(), nrhs);
+      cv[j] = y.block(c.begin, 0, c.size(), nrhs);
+    }
+    gemm_batched<T>(Op::N, Op::N, T{1}, av, bv, T{0}, cv);
+  }
+  // Off-diagonal blocks, one level at a time: w_t = V_t^H x(I_t) for every
+  // node t of the level, stored in the slot of t's SIBLING, so that the
+  // update y(I_t) += U_t w_slot(t) = U_t V_sib(t)^H x(I_sib(t)) reads slot t.
+  // Padding columns of V and U are zero, so every node uses the level's
+  // padded rank.
+  index_t wmax = 0;
+  for (index_t level = 1; level <= tree.depth(); ++level)
+    wmax = std::max(wmax, ClusterTree::nodes_at_level(level) *
+                              layout_.level_rank[level] * nrhs);
+  Matrix<T> wbuf(wmax, 1);
+  T* const w = wbuf.data();
+  for (index_t level = 1; level <= tree.depth(); ++level) {
+    const index_t r = layout_.level_rank[level];
+    if (r == 0) continue;
     const index_t begin = ClusterTree::level_begin(level);
     const index_t count = ClusterTree::nodes_at_level(level);
-    parallel_for(count, [&](index_t k) {
-      const index_t nu = begin + k;
-      const index_t sib = ClusterTree::sibling(nu);
-      if (rank(nu) == 0) return;
-      const ClusterNode& rowc = tree_.node(nu);
-      const ClusterNode& colc = tree_.node(sib);
-      // y(I_nu) += U_nu (V_sib^H x(I_sib)).
-      Matrix<T> tmp(rank(nu), x.cols);
-      gemm(Op::C, Op::N, T{1}, ConstMatrixView<T>(v_[sib]),
-           x.block(colc.begin, 0, colc.size(), x.cols), T{0}, tmp.view());
-      gemm(Op::N, Op::N, T{1}, ConstMatrixView<T>(u_[nu]),
-           ConstMatrixView<T>(tmp), T{1},
-           y.block(rowc.begin, 0, rowc.size(), y.cols));
-    });
+    const index_t ldw = count * r;
+    const T* vpanel = panels_->vbig.data() + layout_.col_offset[level] * nn;
+    const T* upanel = panels_->ubig.data() + layout_.col_offset[level] * nn;
+    if (layout_.level_uniform[level]) {
+      // Node t starts at row t*s; even nodes write odd slots and vice versa.
+      const index_t s = tree.node(begin).size();
+      gemm_strided_batched<T>(Op::C, Op::N, r, nrhs, s, T{1}, vpanel, nn,
+                              2 * s, x.data, x.ld, 2 * s, T{0}, w + r, ldw,
+                              2 * r, count / 2);
+      gemm_strided_batched<T>(Op::C, Op::N, r, nrhs, s, T{1}, vpanel + s, nn,
+                              2 * s, x.data + s, x.ld, 2 * s, T{0}, w, ldw,
+                              2 * r, count / 2);
+      gemm_strided_batched<T>(Op::N, Op::N, s, nrhs, r, T{1}, upanel, nn, s,
+                              w, ldw, r, T{1}, y.data, y.ld, s, count);
+    } else {
+      std::vector<ConstMatrixView<T>> av(count), bv(count);
+      std::vector<MatrixView<T>> cv(count);
+      for (index_t t = 0; t < count; ++t) {
+        const ClusterNode& c = tree.node(begin + t);
+        av[t] = ConstMatrixView<T>(vpanel + c.begin, c.size(), r, nn);
+        bv[t] = x.block(c.begin, 0, c.size(), nrhs);
+        cv[t] = MatrixView<T>{w + (t ^ 1) * r, r, nrhs, ldw};
+      }
+      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv);
+      for (index_t t = 0; t < count; ++t) {
+        const ClusterNode& c = tree.node(begin + t);
+        av[t] = ConstMatrixView<T>(upanel + c.begin, c.size(), r, nn);
+        bv[t] = ConstMatrixView<T>(w + t * r, r, nrhs, ldw);
+        cv[t] = y.block(c.begin, 0, c.size(), nrhs);
+      }
+      gemm_batched<T>(Op::N, Op::N, T{1}, av, bv, T{1}, cv);
+    }
   }
 }
 
 template <typename T>
 Matrix<T> HodlrMatrix<T>::to_dense() const {
+  const ClusterTree& tree = layout_.tree;
   Matrix<T> a(n(), n());
-  for (index_t j = 0; j < tree_.num_leaves(); ++j) {
-    const ClusterNode& c = tree_.node(tree_.leaf(j));
-    copy(ConstMatrixView<T>(leaf_d_[j]),
-         a.block(c.begin, c.begin, c.size(), c.size()));
+  for (index_t j = 0; j < tree.num_leaves(); ++j) {
+    const ClusterNode& c = tree.node(tree.leaf(j));
+    copy(leaf_block(j), a.block(c.begin, c.begin, c.size(), c.size()));
   }
-  for (index_t nu = 1; nu < tree_.num_nodes(); ++nu) {
+  for (index_t nu = 1; nu < tree.num_nodes(); ++nu) {
     if (rank(nu) == 0) continue;
     const index_t sib = ClusterTree::sibling(nu);
-    const ClusterNode& rowc = tree_.node(nu);
-    const ClusterNode& colc = tree_.node(sib);
-    gemm(Op::N, Op::C, T{1}, ConstMatrixView<T>(u_[nu]),
-         ConstMatrixView<T>(v_[sib]), T{0},
+    const ClusterNode& rowc = tree.node(nu);
+    const ClusterNode& colc = tree.node(sib);
+    gemm(Op::N, Op::C, T{1}, u(nu), v(sib), T{0},
          a.block(rowc.begin, colc.begin, rowc.size(), colc.size()));
   }
   return a;
-}
-
-template <typename T>
-std::size_t HodlrMatrix<T>::bytes() const {
-  std::size_t b = 0;
-  for (const auto& d : leaf_d_) b += d.bytes();
-  for (const auto& m : u_) b += m.bytes();
-  for (const auto& m : v_) b += m.bytes();
-  return b;
 }
 
 template class HodlrMatrix<float>;

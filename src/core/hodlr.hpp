@@ -1,7 +1,9 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "core/options.hpp"
 #include "core/report.hpp"
 #include "lowrank/generator.hpp"
@@ -9,16 +11,72 @@
 #include "tree/cluster_tree.hpp"
 
 /// \file hodlr.hpp
-/// The HODLR matrix representation (Definition 2): per-node low-rank bases
-/// for every sibling off-diagonal block plus dense leaf diagonal blocks.
+/// The HODLR matrix representation (Definition 2), stored in the paper's
+/// big-matrix layout (Figs. 3 and 4): all U bases in one N x R matrix
+/// `ubig`, one column panel per tree level with rows partitioned by the
+/// cluster tree; likewise `vbig`; the dense leaf diagonal blocks
+/// concatenated in `dbig`.
 ///
 /// Storage convention for a sibling pair (a, b) with blocks
 ///   A(I_a, I_b) = U_a V_b^H   and   A(I_b, I_a) = U_b V_a^H:
 /// node `nu` owns U_nu (|I_nu| x rank(nu)) and V_nu
 /// (|I_nu| x rank(sibling(nu))), where rank(nu) is the rank of the block
-/// whose ROWS live on nu.
+/// whose ROWS live on nu. Both sit in node nu's rows of the level panel,
+/// starting at the panel's first column; a node whose rank is below the
+/// level maximum is zero-padded to the right, which is what makes the
+/// strided-batched kernels applicable (Sec. III-C).
 
 namespace hodlrx {
+
+/// Where everything lives in the panels: tree, ranks and offsets, O(nodes).
+struct PanelLayout {
+  ClusterTree tree;
+  index_t n = 0;
+
+  /// Exact rank of every node (index 0, the root, is 0).
+  std::vector<index_t> node_rank;
+  /// level_rank[l] = max over nodes at level l of the block rank (l=1..L;
+  /// index 0 unused).
+  std::vector<index_t> level_rank;
+  /// Panel l occupies columns [col_offset[l], col_offset[l] + level_rank[l]);
+  /// col_offset[1] = 0 and col_offset[l+1] = col_offset[l] + level_rank[l].
+  /// The "first r*l columns" of Algorithm 3 is the prefix
+  /// [0, col_offset[l+1]).
+  std::vector<index_t> col_offset;
+  index_t total_cols = 0;  ///< R = col_offset[L+1]
+
+  /// Per-level: true when all nodes at that level have the same size, which
+  /// enables gemmStridedBatched (paper Sec. III-C). Index by level (0..L).
+  std::vector<char> level_uniform;
+  bool leaves_uniform = false;
+
+  /// Per-leaf offset into dbig (size leaves+1); leaf j is column-major with
+  /// ld = its size.
+  std::vector<index_t> d_offset;
+
+  /// The layout of `tree` with the given exact per-node ranks.
+  static PanelLayout make(const ClusterTree& tree,
+                          std::vector<index_t> node_rank);
+
+  index_t depth() const { return tree.depth(); }
+  index_t leaf_size(index_t j) const { return tree.node(tree.leaf(j)).size(); }
+};
+
+/// The operator's storage: the N x R panels and the concatenated leaves.
+/// One HodlrMatrix build allocates it; PackedHodlr and HodlrFactorization
+/// share it read-only, so it outlives whichever of them goes last.
+template <typename T>
+struct HodlrPanels {
+  index_t n = 0, cols = 0;
+  AlignedBuffer<T> ubig, vbig;  ///< n x cols each, column-major, ld = n
+  AlignedBuffer<T> dbig;        ///< leaf blocks, column-major, concatenated
+
+  ConstMatrixView<T> u() const { return {ubig.data(), n, cols, n}; }
+  ConstMatrixView<T> v() const { return {vbig.data(), n, cols, n}; }
+  std::size_t bytes() const {
+    return ubig.bytes() + vbig.bytes() + dbig.bytes();
+  }
+};
 
 template <typename T>
 class HodlrMatrix {
@@ -31,6 +89,8 @@ class HodlrMatrix {
   /// compressed in one batched randomized-SVD sweep — the full matrix is
   /// NEVER formed (generator_stats counter-asserts this), so kernel-defined
   /// BIE problems get the batched device path too (requires max_rank > 0).
+  /// Either way the per-node factors are staged, then written once into the
+  /// level panels when all ranks are known; leaves are filled in place.
   ///
   /// Breakdown handling follows opt.on_breakdown: an ACA stall is retried
   /// through a (batched) rsvd of the materialized block under kRecover,
@@ -52,21 +112,33 @@ class HodlrMatrix {
                                       const BuildOptions& opt = {},
                                       FactorReport* report = nullptr);
 
-  const ClusterTree& tree() const { return tree_; }
-  index_t n() const { return tree_.n(); }
-  index_t depth() const { return tree_.depth(); }
+  /// Adopt finished storage: `panels` holds `layout`'s panels
+  /// (layout.n x layout.total_cols each) and leaves (d_offset.back()).
+  HodlrMatrix(PanelLayout layout, std::shared_ptr<const HodlrPanels<T>> panels);
 
-  /// U basis of node `nu` (empty for the root).
-  const Matrix<T>& u(index_t nu) const { return u_[nu]; }
-  /// V basis of node `nu` (empty for the root).
-  const Matrix<T>& v(index_t nu) const { return v_[nu]; }
-  Matrix<T>& u(index_t nu) { return u_[nu]; }
-  Matrix<T>& v(index_t nu) { return v_[nu]; }
+  const ClusterTree& tree() const { return layout_.tree; }
+  index_t n() const { return layout_.n; }
+  index_t depth() const { return layout_.depth(); }
+  const PanelLayout& layout() const { return layout_; }
+  const std::shared_ptr<const HodlrPanels<T>>& panels() const {
+    return panels_;
+  }
+
+  /// The N x R panels of all U (resp. V) bases, ld = N.
+  ConstMatrixView<T> ubig() const { return panels_->u(); }
+  ConstMatrixView<T> vbig() const { return panels_->v(); }
+  /// U basis of node `nu` (empty for the root): its rows of the level panel,
+  /// first rank(nu) columns.
+  ConstMatrixView<T> u(index_t nu) const;
+  /// V basis of node `nu` (empty for the root): rank(sibling(nu)) columns.
+  ConstMatrixView<T> v(index_t nu) const;
   /// Rank of the off-diagonal block whose rows live on node `nu`.
-  index_t rank(index_t nu) const { return u_[nu].cols(); }
+  index_t rank(index_t nu) const { return layout_.node_rank[nu]; }
   /// Dense diagonal block of the j-th leaf.
-  const Matrix<T>& leaf_block(index_t j) const { return leaf_d_[j]; }
-  Matrix<T>& leaf_block(index_t j) { return leaf_d_[j]; }
+  ConstMatrixView<T> leaf_block(index_t j) const {
+    const index_t sz = layout_.leaf_size(j);
+    return {panels_->dbig.data() + layout_.d_offset[j], sz, sz, sz};
+  }
 
   /// Maximum off-diagonal rank per level (level 1..L; the paper's appendix
   /// rank ladders). Entry [0] corresponds to level 1.
@@ -74,23 +146,21 @@ class HodlrMatrix {
   /// Maximum rank over all blocks (the HODLR rank of Definition 2).
   index_t max_rank() const;
 
-  /// y = A * x for nrhs columns (used for residual checks; OpenMP inside).
+  /// y = A * x for nrhs columns: the leaves in one batched launch, then per
+  /// level W = V^H x and y += U W as batched launches over the level's
+  /// nodes (strided on uniform levels).
   void apply(ConstMatrixView<T> x, MatrixView<T> y) const;
 
   /// Dense reconstruction (small-N validation only).
   Matrix<T> to_dense() const;
 
-  /// Bytes of the representation (the paper's `mem` column counts this
-  /// plus the factorization's K matrices).
-  std::size_t bytes() const;
+  /// Bytes of the panels and leaves (the paper's `mem` column counts this
+  /// plus the factorization's Y, leaf LUs and K matrices).
+  std::size_t bytes() const { return panels_->bytes(); }
 
  private:
-  ClusterTree tree_;
-  std::vector<Matrix<T>> u_, v_;     // per node id; [0] unused
-  std::vector<Matrix<T>> leaf_d_;    // per leaf index
-
-  template <typename U>
-  friend struct PackedHodlr;
+  PanelLayout layout_;
+  std::shared_ptr<const HodlrPanels<T>> panels_;
 };
 
 }  // namespace hodlrx

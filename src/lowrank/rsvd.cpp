@@ -202,7 +202,6 @@ std::vector<LowRankFactor<T>> rsvd_strided_batched(const T* a, index_t lda,
   Matrix<T> w(l, l * batch);
   const SvdBatchInfo svd_info = jacobi_svd_strided_batched<T>(
       bh.data(), n, n * l, n, l, sig.data(), l, w.data(), l, l * l, batch,
-      BatchPolicy::kForceBatched,
       /*recover=*/opt.on_breakdown == OnBreakdown::kRecover);
   if (opt.breakdowns != nullptr) {
     opt.breakdowns->svd_nonconverged += svd_info.nonconverged;

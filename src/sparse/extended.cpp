@@ -42,7 +42,8 @@ ExtendedSystem<T> build_extended_system(const HodlrMatrix<T>& h) {
     const index_t leaf_nu = tree.leaf(j);
     const ClusterNode& c = tree.node(leaf_nu);
     // Leaf equation: D_j x_j + sum_{nu on path} U_nu(I_leaf rows) w_nu = b_j.
-    m.block(layout.leaf_block(j), layout.leaf_block(j)) = h.leaf_block(j);
+    m.block(layout.leaf_block(j), layout.leaf_block(j)) =
+        to_matrix(h.leaf_block(j));
     for (index_t nu = leaf_nu; nu != 0; nu = ClusterTree::parent(nu)) {
       if (h.rank(nu) == 0) continue;
       const ClusterNode& cn = tree.node(nu);

@@ -29,12 +29,12 @@ TEST_P(YbigInvariant, PanelsHoldSubblockSolves) {
   BuildOptions bopt;
   bopt.tol = 1e-11;
   HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a, tree, bopt);
-  PackedHodlr<T> p = PackedHodlr<T>::pack(h);
+  const PanelLayout& p = h.layout();
   Matrix<T> ad = h.to_dense();  // the compressed operator, exactly
 
   FactorOptions fopt;
   fopt.mode = GetParam();
-  auto f = HodlrFactorization<T>::factor(p, fopt);
+  auto f = HodlrFactorization<T>::factor(PackedHodlr<T>::pack(h), fopt);
 
   // Reconstruct Ybig from first principles: solve each node's diagonal
   // sub-block against its padded U panel.
@@ -45,8 +45,8 @@ TEST_P(YbigInvariant, PanelsHoldSubblockSolves) {
     const ClusterNode& c = tree.node(nu);
     Matrix<T> a_sub = to_matrix(
         ConstMatrixView<T>(ad).block(c.begin, c.begin, c.size(), c.size()));
-    Matrix<T> u_pad = to_matrix(p.ubig.view().block(
-        c.begin, p.col_offset[level], c.size(), r));
+    Matrix<T> u_pad = to_matrix(
+        h.ubig().block(c.begin, p.col_offset[level], c.size(), r));
     Matrix<T> y_ref = dense_solve<T>(a_sub, u_pad);
 
     // The factorization's Ybig is private; recover it through a solve of

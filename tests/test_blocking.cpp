@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "batched/batched_blas.hpp"
+#include "bie/contour.hpp"
+#include "bie/helmholtz.hpp"
 #include "common/blocking.hpp"
 #include "common/env.hpp"
 #include "common/gemm_kernel.hpp"
@@ -17,6 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
+#include "core/factorization.hpp"
 #include "test_util.hpp"
 
 /// The blocking-parameter property/stress suite guarding the
@@ -78,6 +81,29 @@ std::string blocking_records() {
 const bool g_child_mode = [] {
   if (std::getenv("HODLRX_TEST_PRINT_BLOCKING") == nullptr) return false;
   std::fputs(blocking_records().c_str(), stdout);
+  std::fflush(stdout);
+  std::_Exit(0);
+}();
+
+/// Child mode of Determinism.HelmholtzSolveIdenticalAcrossThreadCounts:
+/// with HODLRX_TEST_HELMHOLTZ_THREADS=<t> set, this binary runs a small
+/// Helmholtz BIE build -> factor -> solve (N = 1024, kappa = 20) on a pool
+/// of t threads, prints the solution bytes in hex and exits before any test
+/// runs.
+const bool g_helmholtz_child = [] {
+  const char* threads = std::getenv("HODLRX_TEST_HELMHOLTZ_THREADS");
+  if (threads == nullptr) return false;
+  setenv("HODLRX_NUM_THREADS", threads, 1);
+  using C = std::complex<double>;
+  const bie::BlobContour contour;
+  const bie::HelmholtzCombinedBIE<C> gen(bie::discretize(contour, 1024), 20.0,
+                                         20.0, 6);
+  const HodlrMatrix<C> h =
+      HodlrMatrix<C>::build(gen, ClusterTree::uniform(1024, 64));
+  const auto f = HodlrFactorization<C>::factor(PackedHodlr<C>::pack(h));
+  const Matrix<C> x = f.solve(random_matrix<C>(1024, 1, 5));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(x.data());
+  for (std::size_t i = 0; i < x.bytes(); ++i) std::printf("%02x", bytes[i]);
   std::fflush(stdout);
   std::_Exit(0);
 }();
@@ -419,23 +445,28 @@ TYPED_TEST(BlockingTyped, ForcedTileDerivesItsOwnCacheBlocking) {
   }
 }
 
-/// Records printed by a fresh child process of this binary (child mode
-/// above); empty when the child could not be started.
-std::string child_blocking_records() {
+/// Output of a fresh child process of this binary started with `var` set
+/// to `value` (one of the child modes above); empty when the child could not
+/// be started.
+std::string child_output(const char* var, const char* value) {
   char exe[4096];
   const ssize_t len = readlink("/proc/self/exe", exe, sizeof exe);
   if (len <= 0) return "";
   std::string cmd = "'";
   cmd.append(exe, static_cast<std::size_t>(len)).append("'");
-  setenv("HODLRX_TEST_PRINT_BLOCKING", "1", 1);
+  setenv(var, value, 1);
   FILE* pipe = popen(cmd.c_str(), "r");
-  unsetenv("HODLRX_TEST_PRINT_BLOCKING");
+  unsetenv(var);
   if (pipe == nullptr) return "";
   std::string out;
   char buf[256];
   while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
   EXPECT_EQ(pclose(pipe), 0);
   return out;
+}
+
+std::string child_blocking_records() {
+  return child_output("HODLRX_TEST_PRINT_BLOCKING", "1");
 }
 
 /// The blocking is a pure function of the host and the environment: two
@@ -450,6 +481,20 @@ TEST(Resolution, IdenticalAcrossFreshProcesses) {
   ASSERT_FALSE(first.empty()) << "child process produced no records";
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, blocking_records());
+}
+
+/// A complex solve does not depend on the pool size: the Helmholtz BIE
+/// pipeline gives the same solution bytes on 1 and 4 threads. (Level 1's
+/// two recompression cores used to switch to a serial SVD driver when the
+/// batch was smaller than the pool, and chunked TRSM updates picked their
+/// kernel from the chunk width; both changed complex bits.)
+TEST(Determinism, HelmholtzSolveIdenticalAcrossThreadCounts) {
+  ASSERT_FALSE(g_helmholtz_child);
+  const std::string one = child_output("HODLRX_TEST_HELMHOLTZ_THREADS", "1");
+  const std::string four = child_output("HODLRX_TEST_HELMHOLTZ_THREADS", "4");
+  ASSERT_EQ(one.size(), 2u * 1024 * sizeof(std::complex<double>))
+      << "child process produced no solution";
+  EXPECT_EQ(one, four);
 }
 
 /// Dispatch is stable: repeated serial, batched and stream launches do not

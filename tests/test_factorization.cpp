@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "core/factorization.hpp"
 #include "test_util.hpp"
 
@@ -212,10 +215,44 @@ TEST(Factorization, MemoryBytesTracked) {
   {
     HodlrFactorization<T> f = HodlrFactorization<T>::factor(p, {});
     EXPECT_GT(f.bytes(), 0u);
-    EXPECT_EQ(DeviceContext::global().live_bytes(), f.bytes());
+    // V is the operator's (counted by h.bytes()), but the modeled device
+    // footprint still holds it next to the factorization's own storage.
+    EXPECT_EQ(f.device_bytes(), f.bytes() + h.panels()->vbig.bytes());
+    EXPECT_EQ(DeviceContext::global().live_bytes(), f.device_bytes());
     EXPECT_GE(DeviceContext::global().h2d_bytes(), p.bytes());
   }
   EXPECT_EQ(DeviceContext::global().live_bytes(), 0u);
+}
+
+/// The factorization reads V in place (its V pointer is the HodlrMatrix's)
+/// and co-owns the panels: made from a temporary pack of a HodlrMatrix that
+/// is then destroyed, it solves bit-identically to one whose HodlrMatrix is
+/// still alive, on both engines.
+TEST(Factorization, OutlivesItsHodlrMatrix) {
+  using T = double;
+  const index_t n = 300;
+  Matrix<T> a = test::smooth_test_matrix<T>(n, 79);
+  ClusterTree tree = ClusterTree::uniform(n, 32);
+  BuildOptions bopt;
+  bopt.tol = 1e-11;
+  const HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a, tree, bopt);
+  Matrix<T> b = random_matrix<T>(n, 2, 83);
+  for (ExecMode mode : {ExecMode::kSerial, ExecMode::kBatched}) {
+    FactorOptions fopt;
+    fopt.mode = mode;
+    const auto f_ref =
+        HodlrFactorization<T>::factor(PackedHodlr<T>::pack(h), fopt);
+    EXPECT_EQ(f_ref.vbig().data, h.vbig().data);
+    auto owner = std::make_unique<HodlrMatrix<T>>(
+        HodlrMatrix<T>::build_from_dense(a, tree, bopt));
+    const auto f =
+        HodlrFactorization<T>::factor(PackedHodlr<T>::pack(*owner), fopt);
+    EXPECT_EQ(f.vbig().data, owner->vbig().data);
+    owner.reset();
+    const Matrix<T> x = f.solve(b);
+    const Matrix<T> x_ref = f_ref.solve(b);
+    EXPECT_EQ(std::memcmp(x.data(), x_ref.data(), x.bytes()), 0);
+  }
 }
 
 /// Regression for the ld-aware uniform fast path of run_solve_batched: a

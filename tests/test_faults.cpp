@@ -327,7 +327,7 @@ TEST_P(GetrfPivotFault, RecoverRefactorsWithPivoting) {
   EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
   // The recovered factorization solves to full accuracy, and the device
   // accounting tracked the pivot storage the recovery allocated.
-  EXPECT_EQ(DeviceContext::global().live_bytes(), f.bytes());
+  EXPECT_EQ(DeviceContext::global().live_bytes(), f.device_bytes());
   Matrix<double> b = random_matrix<double>(n, 2, 641);
   EXPECT_LE(test::dense_relres<double>(a, f.solve(b), b), 1e-8);
 }

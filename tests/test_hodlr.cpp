@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "batched/batched_blas.hpp"
 #include "bie/laplace.hpp"
 #include "core/factorization.hpp"
@@ -15,8 +18,16 @@ using test::rel_error;
 
 template <typename T>
 class HodlrTyped : public ::testing::Test {};
-using HodlrTypes = ::testing::Types<double, std::complex<double>>;
+using HodlrTypes = ::testing::Types<float, double, std::complex<float>,
+                                   std::complex<double>>;
 TYPED_TEST_SUITE(HodlrTyped, HodlrTypes);
+
+/// Compression tolerance and the matching reconstruction bound per precision.
+template <typename T>
+constexpr double build_tol = std::is_same_v<real_t<T>, float> ? 1e-5 : 1e-10;
+template <typename T>
+constexpr double approx_bound =
+    std::is_same_v<real_t<T>, float> ? 1e-3 : 1e-8;
 
 TYPED_TEST(HodlrTyped, BuildApproximatesDense) {
   using T = TypeParam;
@@ -24,25 +35,59 @@ TYPED_TEST(HodlrTyped, BuildApproximatesDense) {
     Matrix<T> a = test::smooth_test_matrix<T>(n, 70 + n);
     ClusterTree tree = ClusterTree::uniform(n, 16);
     BuildOptions opt;
-    opt.tol = 1e-10;
+    opt.tol = build_tol<T>;
     HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a, tree, opt);
-    EXPECT_LE(rel_error(h.to_dense(), a), 1e-8) << "n=" << n;
+    EXPECT_LE(rel_error(h.to_dense(), a), approx_bound<T>) << "n=" << n;
   }
 }
 
+/// The per-level batched apply against the dense reconstruction of the
+/// same operator, on a uniform tree, a k-d tree (irregular levels, the
+/// gemm_batched path) and a matrix whose level-1 blocks are zero (a rank-0
+/// level between ranked ones); plus the uniform case against the input.
 TYPED_TEST(HodlrTyped, ApplyMatchesDense) {
   using T = TypeParam;
+  const double same_op = std::is_same_v<real_t<T>, float> ? 1e-5 : 1e-13;
   const index_t n = 200, nrhs = 3;
   Matrix<T> a = test::smooth_test_matrix<T>(n, 77);
-  ClusterTree tree = ClusterTree::uniform(n, 32);
   BuildOptions opt;
-  opt.tol = 1e-10;
-  HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a, tree, opt);
+  opt.tol = build_tol<T>;
   Matrix<T> x = random_matrix<T>(n, nrhs, 78);
-  Matrix<T> y(n, nrhs), y_ref(n, nrhs);
-  h.apply(x, y.view());
-  gemm<T>(Op::N, Op::N, T{1}, a, x, T{0}, y_ref.view());
-  EXPECT_LE(rel_error(y, y_ref), 1e-8);
+  const auto check = [&](const Matrix<T>& input, const ClusterTree& tree,
+                         const char* what) {
+    HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(input, tree, opt);
+    Matrix<T> y(n, nrhs), y_ref(n, nrhs);
+    h.apply(x, y.view());
+    gemm<T>(Op::N, Op::N, T{1}, h.to_dense(), x, T{0}, y_ref.view());
+    EXPECT_LE(rel_error(y, y_ref), same_op) << what;
+    return std::pair{std::move(h), std::move(y)};
+  };
+
+  const ClusterTree uniform = ClusterTree::uniform(n, 32);
+  auto [h, y] = check(a, uniform, "uniform tree");
+  Matrix<T> y_in(n, nrhs);
+  gemm<T>(Op::N, Op::N, T{1}, a, x, T{0}, y_in.view());
+  EXPECT_LE(rel_error(y, y_in), approx_bound<T>);
+
+  const ClusterTree kd =
+      build_kd_tree(uniform_random_points(n, 2, -1, 1, 79), 24).tree;
+  bool irregular = false;
+  for (index_t l = 0; l <= kd.depth(); ++l) {
+    const index_t first = ClusterTree::level_begin(l);
+    for (index_t nu = first; nu < ClusterTree::level_begin(l + 1); ++nu)
+      irregular |= kd.node(nu).size() != kd.node(first).size();
+  }
+  EXPECT_TRUE(irregular) << "the k-d tree must exercise irregular levels";
+  check(a, kd, "k-d tree");
+
+  Matrix<T> split = a;
+  const ClusterNode& c1 = uniform.node(1);
+  const ClusterNode& c2 = uniform.node(2);
+  for (index_t j = c2.begin; j < c2.end; ++j)
+    for (index_t i = c1.begin; i < c1.end; ++i) split(i, j) = split(j, i) = T{};
+  auto [hz, yz] = check(split, uniform, "rank-0 level 1");
+  EXPECT_EQ(hz.layout().level_rank[1], 0);
+  EXPECT_GT(hz.layout().level_rank[2], 0);
 }
 
 TEST(Hodlr, GaussianKernelRanksAreSmall) {

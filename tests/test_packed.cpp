@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/packed.hpp"
 #include "test_util.hpp"
 
@@ -26,8 +28,9 @@ TEST(Packed, PanelOffsetsAreConsistent) {
   for (index_t l = 1; l <= L; ++l)
     EXPECT_EQ(p.col_offset[l + 1], p.col_offset[l] + p.level_rank[l]);
   EXPECT_EQ(p.total_cols, p.col_offset[L + 1]);
-  EXPECT_EQ(p.ubig.rows(), 256);
-  EXPECT_EQ(p.ubig.cols(), p.total_cols);
+  EXPECT_EQ(p.ubig().rows, 256);
+  EXPECT_EQ(p.ubig().cols, p.total_cols);
+  EXPECT_EQ(p.ubig().ld, 256);
 }
 
 TEST(Packed, PanelsContainNodeBases) {
@@ -37,26 +40,42 @@ TEST(Packed, PanelsContainNodeBases) {
   BuildOptions opt;
   opt.tol = 1e-10;
   HodlrMatrix<double> h = HodlrMatrix<double>::build_from_dense(a, tree, opt);
-  PackedHodlr<double> p = PackedHodlr<double>::pack(h);
+  const PanelLayout& lay = h.layout();
 
   for (index_t nu = 1; nu < tree.num_nodes(); ++nu) {
     const index_t level = ClusterTree::level_of(nu);
+    const index_t sib = ClusterTree::sibling(nu);
     const ClusterNode& c = tree.node(nu);
-    const Matrix<double>& u = h.u(nu);
-    // The first rank(nu) panel columns hold U_nu; the rest are zero padding.
-    auto panel = p.ubig.view().block(c.begin, p.col_offset[level], c.size(),
-                                     p.level_rank[level]);
-    for (index_t j = 0; j < u.cols(); ++j)
-      for (index_t i = 0; i < c.size(); ++i)
-        EXPECT_EQ(panel(i, j), u(i, j));
-    for (index_t j = u.cols(); j < p.level_rank[level]; ++j)
-      for (index_t i = 0; i < c.size(); ++i)
-        EXPECT_EQ(panel(i, j), 0.0);
+    EXPECT_EQ(h.u(nu).cols, h.rank(nu));
+    EXPECT_EQ(h.v(nu).cols, h.rank(sib));
+    // The first rank(nu) panel columns hold U_nu (rank(sib) hold V_nu); the
+    // rest of the level panel is zero padding.
+    for (const auto& [big, basis] :
+         {std::pair{h.ubig(), h.u(nu)}, std::pair{h.vbig(), h.v(nu)}}) {
+      auto panel = big.block(c.begin, lay.col_offset[level], c.size(),
+                             lay.level_rank[level]);
+      for (index_t j = 0; j < lay.level_rank[level]; ++j)
+        for (index_t i = 0; i < c.size(); ++i) {
+          if (j < basis.cols) {
+            EXPECT_EQ(&panel(i, j), &basis(i, j));
+          } else {
+            EXPECT_EQ(panel(i, j), 0.0);
+          }
+        }
+    }
+    // The panel product of a sibling pair is the compressed block.
+    if (h.rank(nu) == 0) continue;
+    Matrix<double> blk(c.size(), tree.node(sib).size());
+    gemm<double>(Op::N, Op::C, 1.0, h.u(nu), h.v(sib), 0.0, blk.view());
+    EXPECT_LE(rel_error<double>(
+                  blk.view(), a.view().block(c.begin, tree.node(sib).begin,
+                                             c.size(), tree.node(sib).size())),
+              1e-8);
   }
 }
 
 TEST(Packed, ReconstructionFromPanels) {
-  // Rebuild the dense matrix from the packed representation alone and
+  // Rebuild the dense matrix from the HodlrMatrix's padded panels alone and
   // compare with HodlrMatrix::to_dense (they must agree exactly).
   const index_t n = 128, leaf = 16;
   Matrix<std::complex<double>> a =
@@ -65,12 +84,12 @@ TEST(Packed, ReconstructionFromPanels) {
   BuildOptions opt;
   opt.tol = 1e-9;
   auto h = HodlrMatrix<std::complex<double>>::build_from_dense(a, tree, opt);
-  auto p = PackedHodlr<std::complex<double>>::pack(h);
+  const PanelLayout& p = h.layout();
 
   Matrix<std::complex<double>> rec(n, n);
   for (index_t j = 0; j < tree.num_leaves(); ++j) {
     const ClusterNode& c = tree.node(tree.leaf(j));
-    copy(p.leaf_view(p.dbig, j),
+    copy(h.leaf_block(j),
          rec.view().block(c.begin, c.begin, c.size(), c.size()));
   }
   using C = std::complex<double>;
@@ -83,8 +102,8 @@ TEST(Packed, ReconstructionFromPanels) {
     if (r == 0) continue;
     // Padded blocks multiply to the same product as the exact ones.
     gemm<C>(Op::N, Op::C, C{1},
-            p.ubig.view().block(rc.begin, p.col_offset[level], rc.size(), r),
-            p.vbig.view().block(cc.begin, p.col_offset[level], cc.size(), r),
+            h.ubig().block(rc.begin, p.col_offset[level], rc.size(), r),
+            h.vbig().block(cc.begin, p.col_offset[level], cc.size(), r),
             C{0}, rec.view().block(rc.begin, cc.begin, rc.size(), cc.size()));
   }
   EXPECT_LE(rel_error(rec, h.to_dense()), 1e-14);
@@ -124,7 +143,25 @@ TEST(Packed, DbigOffsets) {
     acc += sz * sz;
   }
   EXPECT_EQ(p.d_offset[leaves], acc);
-  EXPECT_EQ(static_cast<index_t>(p.dbig.size()), acc);
+  EXPECT_EQ(static_cast<index_t>(p.panels->dbig.size()), acc);
+}
+
+/// pack() is a handle: it allocates no operator-sized buffer, so its panel
+/// and leaf pointers are the HodlrMatrix's.
+TEST(Packed, PackSharesThePanels) {
+  const index_t n = 200;
+  Matrix<double> a = test::smooth_test_matrix<double>(n, 19);
+  ClusterTree tree = ClusterTree::uniform(n, 25);
+  BuildOptions opt;
+  opt.tol = 1e-10;
+  HodlrMatrix<double> h = HodlrMatrix<double>::build_from_dense(a, tree, opt);
+  PackedHodlr<double> p = PackedHodlr<double>::pack(h);
+  ASSERT_GT(p.total_cols, 0);
+  EXPECT_EQ(p.panels.get(), h.panels().get());
+  EXPECT_EQ(p.ubig().data, h.ubig().data);
+  EXPECT_EQ(p.vbig().data, h.vbig().data);
+  EXPECT_EQ(p.panels->dbig.data(), h.leaf_block(0).data);
+  EXPECT_EQ(p.bytes(), h.bytes());
 }
 
 }  // namespace

@@ -11,12 +11,15 @@ namespace hodlrx {
 namespace {
 
 TEST(Stress, SingularLeafBlockThrows) {
-  // Zero out one leaf diagonal block: the leaf LU must throw.
+  // Zero out one leaf diagonal block (in the input: a built HodlrMatrix is
+  // read-only): the leaf LU must throw.
   const index_t n = 64;
   Matrix<double> a = test::smooth_test_matrix<double>(n, 801);
   ClusterTree tree = ClusterTree::uniform(n, 16);
+  const ClusterNode& leaf = tree.node(tree.leaf(1));
+  for (index_t j = leaf.begin; j < leaf.end; ++j)
+    for (index_t i = leaf.begin; i < leaf.end; ++i) a(i, j) = 0.0;
   HodlrMatrix<double> h = HodlrMatrix<double>::build_from_dense(a, tree, {});
-  h.leaf_block(1).set_zero();
   PackedHodlr<double> p = PackedHodlr<double>::pack(h);
   for (ExecMode mode : {ExecMode::kSerial, ExecMode::kBatched}) {
     FactorOptions opt;

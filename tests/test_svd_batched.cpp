@@ -148,7 +148,7 @@ TYPED_TEST(SvdBatchedTyped, StridedBatchedMatchesPerBlockReference) {
     svd_stats::reset();
     const SvdBatchInfo info = jacobi_svd_strided_batched<T>(
         buf.data(), m, stride, m, n, sig.data(), n, v.data(), n, n * n,
-        batch, BatchPolicy::kForceBatched);
+        batch);
     EXPECT_EQ(info.nonconverged, 0);
     EXPECT_EQ(svd_stats::batched_sweeps(), 1u);
     EXPECT_GE(svd_stats::sweep_launches(), n > 1 ? 1u : 0u);
@@ -171,44 +171,6 @@ TYPED_TEST(SvdBatchedTyped, StridedBatchedMatchesPerBlockReference) {
   }
 }
 
-/// Stream mode (sequential blocked serial problems) and batched mode agree.
-TYPED_TEST(SvdBatchedTyped, StreamModeAgreesWithBatched) {
-  using T = TypeParam;
-  using R = real_t<T>;
-  const index_t m = 48, n = 20, batch = 4;
-  std::vector<T> b1(static_cast<std::size_t>(m) * n * batch);
-  std::vector<T> b2(b1.size());
-  for (index_t i = 0; i < batch; ++i) {
-    Matrix<T> a = random_matrix<T>(m, n, 7100 + i);
-    copy<T>(a.view(), MatrixView<T>{b1.data() + i * m * n, m, n, m});
-    copy<T>(a.view(), MatrixView<T>{b2.data() + i * m * n, m, n, m});
-  }
-  std::vector<R> s1(static_cast<std::size_t>(n) * batch), s2(s1.size());
-  std::vector<T> v1(static_cast<std::size_t>(n) * n * batch), v2(v1.size());
-  jacobi_svd_strided_batched<T>(b1.data(), m, m * n, m, n, s1.data(), n,
-                                v1.data(), n, n * n, batch,
-                                BatchPolicy::kForceBatched);
-  jacobi_svd_strided_batched<T>(b2.data(), m, m * n, m, n, s2.data(), n,
-                                v2.data(), n, n * n, batch,
-                                BatchPolicy::kForceStream);
-  for (std::size_t j = 0; j < s1.size(); ++j)
-    EXPECT_NEAR(s1[j], s2[j], tol<T>() * std::max<R>(s1[0], R{1}));
-  for (index_t i = 0; i < batch; ++i) {
-    // Both modes run the same Gram-sweep kernel in the same order, so the
-    // factors — not just the values — agree to roundoff.
-    EXPECT_LE(rel_error<T>(ConstMatrixView<T>(b1.data() + i * m * n, m, n, m),
-                           ConstMatrixView<T>(b2.data() + i * m * n, m, n,
-                                              m)),
-              tol<T>())
-        << "problem " << i;
-    EXPECT_LE(rel_error<T>(ConstMatrixView<T>(v1.data() + i * n * n, n, n, n),
-                           ConstMatrixView<T>(v2.data() + i * n * n, n, n,
-                                              n)),
-              tol<T>())
-        << "problem " << i;
-  }
-}
-
 /// Zero-rank and empty-block edges: an all-zero batch converges in one
 /// sweep with s = 0 everywhere (and zero U columns by contract); degenerate
 /// shapes are no-ops; layout misuse throws.
@@ -219,8 +181,7 @@ TEST(SvdBatched, ZeroRankAndEmptyEdges) {
   std::vector<double> sig(static_cast<std::size_t>(n) * batch, -1.0);
   std::vector<T> v(static_cast<std::size_t>(n) * n * batch);
   const SvdBatchInfo info = jacobi_svd_strided_batched<T>(
-      buf.data(), m, m * n, m, n, sig.data(), n, v.data(), n, n * n, batch,
-      BatchPolicy::kForceBatched);
+      buf.data(), m, m * n, m, n, sig.data(), n, v.data(), n, n * n, batch);
   EXPECT_EQ(info.nonconverged, 0);
   for (double s : sig) EXPECT_EQ(s, 0.0);
   for (T x : buf) EXPECT_EQ(x, 0.0);  // zero U columns for zero s
@@ -447,8 +408,7 @@ TEST(SvdBatched, SweepLaunchesBatchedKernelsWithoutThreadChurn) {
   const std::uint64_t created = pool.threads_created();
   const std::uint64_t launches0 = DeviceContext::global().launches();
   jacobi_svd_strided_batched<double>(buf.data(), m, m * n, m, n, sig.data(),
-                                     n, v.data(), n, n * n, batch,
-                                     BatchPolicy::kForceBatched);
+                                     n, v.data(), n, n * n, batch);
   EXPECT_GT(DeviceContext::global().launches(), launches0 + 3)
       << "init + per-sweep Gram/rotation + finalize must be recorded as "
          "batched launches";

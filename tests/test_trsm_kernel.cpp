@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 #include "batched/batched_blas.hpp"
@@ -99,6 +100,37 @@ TYPED_TEST(TrsmKernelTyped, ParallelMatchesReference) {
     trsm_left_parallel<T>(uplo, Diag::NonUnit, a, b.view());
     EXPECT_LE(rel_error(b, expect), tol<T>());
   }
+}
+
+/// Splitting the RHS columns across the pool must not change a single bit:
+/// each chunk's trailing updates pick the packed or the compact kernel from
+/// the WHOLE RHS width. With nb = 24 and 145 RHS on 4 threads, the last
+/// lower update of n = 40 and n = 130 (16 and 10 rows) is packed for the
+/// whole width but below the cutoff for one 36-column chunk; n = 20 runs
+/// the reference kernel, 7 RHS stay compact and n = 300 with 400 RHS stays
+/// packed throughout.
+TYPED_TEST(TrsmKernelTyped, ParallelIsBitwiseBlocked) {
+  using T = TypeParam;
+  ASSERT_TRUE(g_env_ready);
+  ASSERT_GT(max_threads(), 1);
+  const index_t shapes[][2] = {{40, 145}, {130, 145}, {20, 145}, {130, 7},
+                               {300, 400}};
+  std::uint64_t seed = 800;
+  for (const auto& [n, nrhs] : shapes)
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
+        Matrix<T> a = triangular_matrix<T>(n, uplo, ++seed);
+        Matrix<T> blocked = random_matrix<T>(n, nrhs, ++seed);
+        Matrix<T> parallel = to_matrix(blocked.view());
+        trsm_left_blocked<T>(uplo, diag, a, blocked.view());
+        trsm_left_parallel<T>(uplo, diag, a, parallel.view());
+        EXPECT_EQ(std::memcmp(blocked.data(), parallel.data(),
+                              blocked.bytes()),
+                  0)
+            << "n=" << n << " nrhs=" << nrhs << " uplo="
+            << (uplo == Uplo::Lower ? "L" : "U")
+            << " diag=" << (diag == Diag::Unit ? "unit" : "non-unit");
+      }
 }
 
 /// Blocked solves on strided sub-views (ld > rows) — the layout every
