@@ -19,31 +19,25 @@
 namespace hodlrx::bie {
 
 /// Dense-free generator of the discretized operator; T is float or double.
+///
+/// The constructor tabulates, once per node, the coordinates, normals and
+/// weights (structure of arrays), the completion term
+/// c_i = log|x_i - z| / 2pi of row i and the diagonal entry. `entry`,
+/// `fill_row` and `fill_col` evaluate one off-diagonal formula; the fills
+/// run it as `omp simd` loops over the fill direction with the fixed
+/// index's terms hoisted, then write the diagonal entry if the range holds
+/// it. Every fill is bitwise equal to `entry` (docs/lowrank-engine.md).
 template <typename T>
 class LaplaceExteriorBIE final : public MatrixGenerator<T> {
  public:
-  LaplaceExteriorBIE(ContourDiscretization disc, Point2 z = {0.0, 0.0})
-      : disc_(std::move(disc)), z_(z) {}
+  LaplaceExteriorBIE(ContourDiscretization disc, Point2 z = {0.0, 0.0});
 
   index_t rows() const override { return disc_.n; }
   index_t cols() const override { return disc_.n; }
 
-  T entry(index_t i, index_t j) const override {
-    constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-    double kernel;
-    if (i == j) {
-      kernel = -disc_.kappa[i] / (2.0 * kTwoPi);  // -kappa/(4 pi)
-    } else {
-      const double dx = disc_.x[i].x - disc_.x[j].x;
-      const double dy = disc_.x[i].y - disc_.x[j].y;
-      const double r2 = dx * dx + dy * dy;
-      kernel = (disc_.nrm[j].x * dx + disc_.nrm[j].y * dy) / (kTwoPi * r2);
-    }
-    kernel -= std::log(dist(disc_.x[i], z_)) / kTwoPi;  // completion term
-    double a = disc_.weight[j] * kernel;
-    if (i == j) a += 0.5;
-    return static_cast<T>(a);
-  }
+  T entry(index_t i, index_t j) const override;
+  void fill_row(index_t i, index_t j0, index_t j1, T* out) const override;
+  void fill_col(index_t j, index_t i0, index_t i1, T* out) const override;
 
   const ContourDiscretization& discretization() const { return disc_; }
   Point2 completion_point() const { return z_; }
@@ -51,6 +45,9 @@ class LaplaceExteriorBIE final : public MatrixGenerator<T> {
  private:
   ContourDiscretization disc_;
   Point2 z_;
+  // Per-node tables: position, normal, weight, completion term, diagonal.
+  std::vector<double> x_, y_, nx_, ny_, w_, c_;
+  std::vector<T> diag_;
 };
 
 /// Evaluate the representation u(x) = int (d(x,y) - log|x-z|/2pi) sigma ds

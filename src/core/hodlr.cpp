@@ -819,6 +819,10 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
       errors[task] = e.what();
     }
   });
+  // Give back every pool thread's ACA cross panels (aca.hpp). Each
+  // participant of a static launch over max_threads() indices is a distinct
+  // thread, so this reaches every thread once.
+  parallel_for_static(max_threads(), [](index_t) { aca_release_panels(); });
   for (const auto& e : errors)
     HODLRX_REQUIRE(e.empty(), "HodlrMatrix::build failed: " << e);
   // Recovery ladder for stalled / non-converged ACA blocks: materialize the

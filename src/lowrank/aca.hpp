@@ -11,6 +11,9 @@
 
 namespace hodlrx {
 
+/// Initial column capacity of ACA's cross panels; it doubles on demand.
+inline constexpr index_t kAcaInitialCrosses = 16;
+
 struct AcaOptions {
   double tol = 1e-12;        ///< relative Frobenius tolerance
   index_t max_rank = -1;     ///< cap (-1: min(m, n))
@@ -29,9 +32,14 @@ struct AcaResult {
   bool stalled = false;
 };
 
-/// Compress the sub-block [row0, row0+m) x [col0, col0+n) of `g`.
+/// Compress the sub-block [row0, row0+m) x [col0, col0+n) of `g`. The
+/// crosses are built in per-thread panels that later calls reuse.
 template <typename T>
 AcaResult<T> aca(const MatrixGenerator<T>& g, index_t row0, index_t col0,
                  index_t m, index_t n, const AcaOptions& opt);
+
+/// Return the calling thread's ACA panels to the system.
+/// HodlrMatrix::build calls it on every pool thread after its ACA sweep.
+void aca_release_panels();
 
 }  // namespace hodlrx

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstring>
+#include <string>
+
+#include "bie/contour.hpp"
+#include "bie/helmholtz.hpp"
+#include "bie/laplace.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/rpy.hpp"
 #include "test_util.hpp"
@@ -19,15 +26,89 @@ TEST(Kernels, GaussianBasics) {
   EXPECT_EQ(k.entry(0, 1), k.entry(1, 0));             // symmetry
 }
 
-TEST(Kernels, FillRowMatchesEntry) {
-  PointSet pts = uniform_random_points(50, 2, -1, 1, 7);
-  Matern32Kernel<double> k(std::move(pts), 0.7);
-  std::vector<double> row(50);
-  k.fill_row(13, 0, 50, row.data());
-  for (index_t j = 0; j < 50; ++j) EXPECT_EQ(row[j], k.entry(13, j));
-  std::vector<double> col(20);
-  k.fill_col(31, 10, 30, col.data());
-  for (index_t i = 0; i < 20; ++i) EXPECT_EQ(col[i], k.entry(10 + i, 31));
+/// True when a and b hold the same bytes (-0.0 differs from 0.0).
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// The fill contract: fill_row, fill_col and fill_block are bitwise equal
+/// to entry(). Ranges that hold and that miss the diagonal, offsets and
+/// lengths that are not multiples of 16, and fill_block with ld > rows
+/// (the padding rows must stay untouched).
+template <typename T>
+void expect_fills_match_entry(const MatrixGenerator<T>& g,
+                              const std::string& name) {
+  SCOPED_TRACE(name);
+  const index_t n = std::min(g.rows(), g.cols());
+  ASSERT_GE(n, 100);
+  // {fixed index, begin, end}: the first two hold the diagonal.
+  const index_t ranges[][3] = {
+      {37, 5, 88}, {0, 0, n}, {41, 47, 100}, {90, 3, 29}, {n - 1, 61, n}};
+  std::vector<T> buf(static_cast<std::size_t>(n));
+  for (const auto& r : ranges) {
+    const index_t k = r[0], lo = r[1], hi = r[2];
+    g.fill_row(k, lo, hi, buf.data());
+    for (index_t j = lo; j < hi; ++j)
+      ASSERT_TRUE(same_bits(buf[j - lo], g.entry(k, j)))
+          << "fill_row(" << k << ", " << lo << ", " << hi << ") at " << j;
+    g.fill_col(k, lo, hi, buf.data());
+    for (index_t i = lo; i < hi; ++i)
+      ASSERT_TRUE(same_bits(buf[i - lo], g.entry(i, k)))
+          << "fill_col(" << k << ", " << lo << ", " << hi << ") at " << i;
+  }
+  // {i0, j0, rows, cols}: the first two hold diagonal entries.
+  const index_t blocks[][4] = {{10, 20, 50, 39}, {3, 0, 97, 61},
+                               {0, 53, 45, 23}, {71, 2, 17, 33}};
+  const T sentinel = static_cast<T>(-7.25);
+  for (const auto& b : blocks) {
+    const index_t i0 = b[0], j0 = b[1], rows = b[2], cols = b[3];
+    const index_t ld = rows + 5;
+    std::vector<T> blk(static_cast<std::size_t>(ld * cols), sentinel);
+    g.fill_block(i0, j0, MatrixView<T>{blk.data(), rows, cols, ld});
+    for (index_t j = 0; j < cols; ++j) {
+      for (index_t i = 0; i < rows; ++i)
+        ASSERT_TRUE(same_bits(blk[i + j * ld], g.entry(i0 + i, j0 + j)))
+            << "fill_block at (" << i0 + i << ", " << j0 + j << ")";
+      for (index_t i = rows; i < ld; ++i)
+        ASSERT_TRUE(same_bits(blk[i + j * ld], sentinel))
+            << "fill_block wrote padding row " << i << " of column " << j;
+    }
+  }
+}
+
+TEST(Kernels, FillsMatchEntryForEveryGenerator) {
+  const bie::BlobContour blob;
+  expect_fills_match_entry<double>(
+      bie::LaplaceExteriorBIE<double>(bie::discretize(blob, 211), {0.1, 0.2}),
+      "LaplaceExteriorBIE<double>");
+  expect_fills_match_entry<float>(
+      bie::LaplaceExteriorBIE<float>(bie::discretize(blob, 150), {0.0, 0.0}),
+      "LaplaceExteriorBIE<float>");
+  expect_fills_match_entry<std::complex<double>>(
+      bie::HelmholtzCombinedBIE<std::complex<double>>(
+          bie::discretize(blob, 128), 10.0, 10.0, 6),
+      "HelmholtzCombinedBIE");
+  const PointSet p1 = uniform_random_points(130, 1, -1, 1, 5);
+  const PointSet p2 = uniform_random_points(120, 2, -1, 1, 7);
+  expect_fills_match_entry<double>(RpyKernel1D<double>(p1), "RpyKernel1D");
+  expect_fills_match_entry<double>(
+      RpyKernel3D<double>(uniform_random_points(40, 3, -1, 1, 13)),
+      "RpyKernel3D");
+  expect_fills_match_entry<double>(GaussianKernel<double>(p2, 0.6, 0.1),
+                                   "GaussianKernel");
+  expect_fills_match_entry<double>(ExponentialKernel<double>(p2, 0.6),
+                                   "ExponentialKernel");
+  expect_fills_match_entry<double>(Matern32Kernel<double>(p2, 0.7),
+                                   "Matern32Kernel");
+  expect_fills_match_entry<float>(Matern52Kernel<float>(p2, 0.7),
+                                  "Matern52Kernel<float>");
+  expect_fills_match_entry<double>(
+      InverseMultiquadricKernel<double>(p2, 0.5), "InverseMultiquadricKernel");
+  expect_fills_match_entry<std::complex<float>>(
+      DenseGenerator<std::complex<float>>(
+          random_matrix<std::complex<float>>(110, 104, 3)),
+      "DenseGenerator");
 }
 
 TEST(Kernels, MaternLimits) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <cstring>
+#include <limits>
+#include <type_traits>
+#include <vector>
+
 #include "batched/batched_blas.hpp"
 #include "bie/contour.hpp"
 #include "bie/helmholtz.hpp"
@@ -51,6 +57,111 @@ TYPED_TEST(LowrankTyped, AcaExactRankMatrix) {
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.factor.rank(), r + 2);
   EXPECT_LE(rel_error(res.factor.reconstruct(), a), 1e-10);
+}
+
+/// T's single-precision counterpart. The typed ACA tests below run T and
+/// this type, so they cover all four scalar types.
+template <typename T>
+using SinglePrecision =
+    std::conditional_t<is_complex_v<T>, std::complex<float>, float>;
+
+/// A block whose exact rank exceeds twice the initial panel capacity, so
+/// the cross panels grow at least twice (from empty: the thread's panels are
+/// released first). A second call reuses the grown panels and must give the
+/// same bits.
+template <typename T>
+void expect_aca_panels_grow() {
+  using R = real_t<T>;
+  constexpr bool kSingle = std::is_same_v<R, float>;
+  const index_t m = 90, n = 80, r = 2 * kAcaInitialCrosses + 5;
+  Matrix<T> u = random_matrix<T>(m, r, 61);
+  Matrix<T> v = random_matrix<T>(n, r, 62);
+  Matrix<T> a(m, n);
+  gemm<T>(Op::N, Op::C, T{1}, u, v, T{0}, a.view());
+  DenseGenerator<T> g(to_matrix(a.view()));
+  AcaOptions opt;
+  opt.tol = kSingle ? 1e-5 : 1e-12;
+  aca_release_panels();
+  const AcaResult<T> res = aca<T>(g, 0, 0, m, n, opt);
+  EXPECT_TRUE(res.converged);
+  EXPECT_GE(res.factor.rank(), r);
+  EXPECT_LE(res.factor.rank(), r + 2);
+  EXPECT_LE(rel_error(res.factor.reconstruct(), a), kSingle ? 1e-4 : 1e-10);
+  const AcaResult<T> again = aca<T>(g, 0, 0, m, n, opt);
+  ASSERT_EQ(again.factor.rank(), res.factor.rank());
+  EXPECT_EQ(std::memcmp(again.factor.u.data(), res.factor.u.data(),
+                        res.factor.u.bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(again.factor.v.data(), res.factor.v.data(),
+                        res.factor.v.bytes()),
+            0);
+}
+
+TYPED_TEST(LowrankTyped, AcaPanelsGrowPastInitialCapacity) {
+  expect_aca_panels_grow<TypeParam>();
+  expect_aca_panels_grow<SinglePrecision<TypeParam>>();
+}
+
+/// A = x y^T with x_0 = 1 the unique largest |x_i|, and |y_3| = |y_7| = 2
+/// the largest |y_j|: the first pivot row (row 0 = y) ties at columns 3 and
+/// 7, and the lower index must win. The first cross's u is then the
+/// residual of column 3, which is A(:, 3) itself.
+template <typename T>
+void expect_aca_tie_takes_lowest_index() {
+  const index_t m = 40, n = 24;
+  std::vector<T> x(m), y(n);
+  for (index_t i = 0; i < m; ++i) x[i] = T(1) / T(static_cast<float>(1 + i));
+  for (index_t j = 0; j < n; ++j) y[j] = T(0.25f + 0.01f * static_cast<float>(j));
+  y[3] = T(2);
+  if constexpr (is_complex_v<T>)
+    y[7] = T(0, 2);
+  else
+    y[7] = T(-2);
+  Matrix<T> a(m, n);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) a(i, j) = x[i] * y[j];
+  DenseGenerator<T> g(to_matrix(a.view()));
+  const AcaResult<T> res = aca<T>(g, 0, 0, m, n, AcaOptions{});
+  ASSERT_GE(res.factor.rank(), 1);
+  for (index_t i = 0; i < m; ++i)
+    ASSERT_EQ(res.factor.u(i, 0), a(i, 3)) << "row " << i;
+}
+
+TYPED_TEST(LowrankTyped, AcaPivotTieTakesLowestIndex) {
+  expect_aca_tie_takes_lowest_index<TypeParam>();
+  expect_aca_tie_takes_lowest_index<SinglePrecision<TypeParam>>();
+}
+
+/// A NaN or Inf column in an off-diagonal block must end the cross search
+/// as a stall, never as convergence: aca() reports it, build() throws under
+/// kThrow and counts it under kRecover.
+template <typename T>
+void expect_aca_nonfinite_stalls(real_t<T> bad) {
+  const index_t n = 256;
+  Matrix<T> a = test::smooth_test_matrix<T>(n, 5);
+  for (index_t i = 0; i < n; ++i) a(i, 128) = T(bad);
+  DenseGenerator<T> g(std::move(a));
+  const AcaResult<T> res = aca<T>(g, 0, 128, 128, 128, AcaOptions{});
+  EXPECT_TRUE(res.stalled);
+  EXPECT_FALSE(res.converged);
+
+  const ClusterTree tree = ClusterTree::with_depth(n, 1);
+  BuildOptions bopt;
+  bopt.on_breakdown = OnBreakdown::kThrow;
+  EXPECT_THROW(HodlrMatrix<T>::build(g, tree, bopt), std::exception);
+  bopt.on_breakdown = OnBreakdown::kRecover;
+  FactorReport rep;
+  EXPECT_NO_THROW(HodlrMatrix<T>::build(g, tree, bopt, &rep));
+  EXPECT_GE(rep.aca_stalls, 1);
+}
+
+TYPED_TEST(LowrankTyped, AcaNonFiniteColumnStalls) {
+  using T = TypeParam;
+  using S = SinglePrecision<T>;
+  expect_aca_nonfinite_stalls<T>(std::numeric_limits<real_t<T>>::quiet_NaN());
+  expect_aca_nonfinite_stalls<T>(std::numeric_limits<real_t<T>>::infinity());
+  expect_aca_nonfinite_stalls<S>(std::numeric_limits<real_t<S>>::quiet_NaN());
+  expect_aca_nonfinite_stalls<S>(-std::numeric_limits<real_t<S>>::infinity());
 }
 
 TEST(Aca, ZeroBlockGivesRankZero) {
