@@ -8,173 +8,10 @@
 /// Default sweep N = 2^12 .. 2^15; --full extends to 2^18 (block-sparse
 /// dominates the runtime there).
 
-#include <cstdlib>
-
 #include "bench_util.hpp"
 #include "bie/laplace.hpp"
-#include "common/parallel.hpp"
-#include "device/backend.hpp"
 
 using namespace hodlrx;
-
-/// Levels-vs-graph scheduler comparison (docs/runtime-scheduler.md) on the
-/// batched engine at one representative size: the same packed operator is
-/// built, factored and solved under HODLRX_SCHED=levels and =graph (the mode
-/// is reread per call, so an in-process setenv flips it). Records land in
-/// BENCH_table4_laplace.json with the sched_stats counters, so the graph
-/// scheduler's overlap win at >= 4 threads is tracked across PRs.
-template <typename T>
-void sched_compare(bench::JsonArrayWriter& out, const bench::Args& args,
-                   index_t n, double tol) {
-  const char* old = std::getenv("HODLRX_SCHED");
-  const std::string saved = old != nullptr ? old : "";
-  bie::BlobContour contour;
-  bie::ContourDiscretization d = bie::discretize(contour, n);
-  bie::LaplaceExteriorBIE<T> gen(d, {0.0, 0.0});
-  ClusterTree tree = ClusterTree::uniform(n, 64);
-  BuildOptions bopt;
-  bopt.tol = tol;
-  Matrix<T> b = random_matrix<T>(n, 1, 11);
-
-  std::printf("\n== scheduler compare: Laplace BIE N=%lld, batched engine, "
-              "%d threads ==\n",
-              static_cast<long long>(n), max_threads());
-  double tf_levels = 0;
-  for (const char* mode : {"levels", "graph"}) {
-    setenv("HODLRX_SCHED", mode, 1);
-    sched_stats::reset();
-    const double tb = bench::time_best(args.repeats, [&] {
-      HodlrMatrix<T> hm = HodlrMatrix<T>::build(gen, tree, bopt);
-    });
-    HodlrMatrix<T> h = HodlrMatrix<T>::build(gen, tree, bopt);
-    PackedHodlr<T> p = PackedHodlr<T>::pack(h);
-    bench::SolverStats s = bench::bench_packed(
-        h, p, ExecMode::kBatched, ConstMatrixView<T>(b), args.repeats);
-    out.begin_record();
-    out.field("case", "sched_compare");
-    out.field("sched", mode);
-    out.field("n", n);
-    out.field("threads", static_cast<index_t>(max_threads()));
-    out.field("tb", tb);
-    out.field("tf", s.tf);
-    out.field("ts", s.ts);
-    out.field("relres", s.relres);
-    out.field("graphs_run", static_cast<index_t>(sched_stats::graphs_run()));
-    out.field("graph_nodes", static_cast<index_t>(sched_stats::nodes()));
-    out.field("graph_edges", static_cast<index_t>(sched_stats::edges()));
-    out.field("graph_steals", static_cast<index_t>(sched_stats::steals()));
-    out.field("max_ready_depth",
-              static_cast<index_t>(sched_stats::max_ready_depth()));
-    out.end_record();
-    std::printf("  %-6s  tb %9.3e  tf %9.3e  ts %9.3e  relres %9.2e"
-                "  (graphs %llu, nodes %llu, steals %llu)\n",
-                mode, tb, s.tf, s.ts, s.relres,
-                static_cast<unsigned long long>(sched_stats::graphs_run()),
-                static_cast<unsigned long long>(sched_stats::nodes()),
-                static_cast<unsigned long long>(sched_stats::steals()));
-    if (std::string(mode) == "levels")
-      tf_levels = s.tf;
-    else if (tf_levels > 0)
-      std::printf("  graph/levels tf speedup: %.2fx\n", tf_levels / s.tf);
-  }
-  if (old != nullptr)
-    setenv("HODLRX_SCHED", saved.c_str(), 1);
-  else
-    unsetenv("HODLRX_SCHED");
-}
-
-/// Sync-vs-async backend comparison (docs/device-backend.md) on the batched
-/// engine at one representative size: the same operator is built, factored
-/// and solved under HODLRX_BACKEND=host (inline launches) and =host-async
-/// (stream-deferred launches; for the factorization also with the DAG
-/// lowered onto streams via HODLRX_SCHED=graph). The backend_stats queue
-/// counters land in the record — deferred/drained launches and the maximum
-/// queue depth are the evidence that compression of one level really
-/// overlapped the drain of the previous one.
-template <typename T>
-void backend_compare(bench::JsonArrayWriter& out, const bench::Args& args,
-                     index_t n, double tol) {
-  const char* old_backend = std::getenv("HODLRX_BACKEND");
-  const std::string saved_backend = old_backend != nullptr ? old_backend : "";
-  const char* old_sched = std::getenv("HODLRX_SCHED");
-  const std::string saved_sched = old_sched != nullptr ? old_sched : "";
-  bie::BlobContour contour;
-  bie::ContourDiscretization d = bie::discretize(contour, n);
-  bie::LaplaceExteriorBIE<T> gen(d, {0.0, 0.0});
-  ClusterTree tree = ClusterTree::uniform(n, 64);
-  BuildOptions bopt;
-  bopt.tol = tol;
-  // The batched rsvd compression sweep is the path that issues onto backend
-  // streams (double-buffered across levels); ACA would build identically on
-  // every backend and show an empty queue.
-  bopt.compressor = Compressor::kRsvdBatched;
-  bopt.max_rank = 64;
-  Matrix<T> b = random_matrix<T>(n, 1, 11);
-
-  std::printf("\n== backend compare: Laplace BIE N=%lld, batched engine, "
-              "%d threads ==\n",
-              static_cast<long long>(n), max_threads());
-  struct Leg {
-    const char* backend;
-    const char* sched;
-  };
-  const Leg legs[] = {{"host", "levels"},
-                      {"host-async", "levels"},
-                      {"host-async", "graph"}};
-  double tf_host = 0;
-  for (const Leg& leg : legs) {
-    setenv("HODLRX_BACKEND", leg.backend, 1);
-    setenv("HODLRX_SCHED", leg.sched, 1);
-    backend_stats::reset();
-    const double tb = bench::time_best(args.repeats, [&] {
-      HodlrMatrix<T> hm = HodlrMatrix<T>::build(gen, tree, bopt);
-    });
-    HodlrMatrix<T> h = HodlrMatrix<T>::build(gen, tree, bopt);
-    PackedHodlr<T> p = PackedHodlr<T>::pack(h);
-    bench::SolverStats s = bench::bench_packed(
-        h, p, ExecMode::kBatched, ConstMatrixView<T>(b), args.repeats);
-    out.begin_record();
-    out.field("case", "backend_compare");
-    out.field("backend", leg.backend);
-    out.field("sched", leg.sched);
-    out.field("n", n);
-    out.field("threads", static_cast<index_t>(max_threads()));
-    out.field("tb", tb);
-    out.field("tf", s.tf);
-    out.field("ts", s.ts);
-    out.field("relres", s.relres);
-    out.field("deferred_launches",
-              static_cast<index_t>(backend_stats::deferred()));
-    out.field("drained_launches",
-              static_cast<index_t>(backend_stats::drained()));
-    out.field("events_recorded",
-              static_cast<index_t>(backend_stats::events_recorded()));
-    out.field("drains", static_cast<index_t>(backend_stats::drains()));
-    out.field("max_queue_depth",
-              static_cast<index_t>(backend_stats::max_queue_depth()));
-    out.end_record();
-    std::printf("  %-10s %-6s  tb %9.3e  tf %9.3e  ts %9.3e  relres %9.2e"
-                "  (deferred %llu, drains %llu, max depth %llu)\n",
-                leg.backend, leg.sched, tb, s.tf, s.ts, s.relres,
-                static_cast<unsigned long long>(backend_stats::deferred()),
-                static_cast<unsigned long long>(backend_stats::drains()),
-                static_cast<unsigned long long>(
-                    backend_stats::max_queue_depth()));
-    if (std::string(leg.backend) == "host")
-      tf_host = s.tf;
-    else if (tf_host > 0)
-      std::printf("  async/sync tf speedup (%s): %.2fx\n", leg.sched,
-                  tf_host / s.tf);
-  }
-  if (old_backend != nullptr)
-    setenv("HODLRX_BACKEND", saved_backend.c_str(), 1);
-  else
-    unsetenv("HODLRX_BACKEND");
-  if (old_sched != nullptr)
-    setenv("HODLRX_SCHED", saved_sched.c_str(), 1);
-  else
-    unsetenv("HODLRX_SCHED");
-}
 
 template <typename T>
 void run(const bench::Args& args, double tol) {
@@ -234,13 +71,5 @@ int main(int argc, char** argv) {
       "\nShape checks vs the paper: GPU HODLR fastest on both stages; the\n"
       "serial block-sparse solver beats the serial HODLR solver in tf; all\n"
       "columns scale near-linearly; --low runs ~2x faster in float.\n");
-  // Scheduler comparison at one representative size (tol 1e-12, double —
-  // the Table IV(a) setting). --max-n caps it like the table sweep.
-  index_t sched_n = 1 << 13;
-  if (args.max_n > 0 && args.max_n < sched_n) sched_n = args.max_n;
-  sched_compare<double>(out, args, sched_n, 1e-12);
-  // Sync-vs-async device backend at the same size: tf parity plus the
-  // stream queue-depth evidence (docs/device-backend.md).
-  backend_compare<double>(out, args, sched_n, 1e-12);
   return 0;
 }

@@ -10,7 +10,6 @@
 #include "common/blocking.hpp"
 #include "common/gemm_kernel.hpp"
 #include "common/hwinfo.hpp"
-#include "common/task_graph.hpp"
 #include "common/timer.hpp"
 #include "core/factorization.hpp"
 #include "device/device.hpp"
@@ -291,9 +290,6 @@ inline void emit_blocking_records(JsonArrayWriter& out) {
   out.field("family", hw.family);
   out.field("probe_source", hw.source);
   out.field("autotune", autotune_enabled() ? "on" : "off");
-  // The resolved scheduler mode (HODLRX_SCHED): which path the ported sweep
-  // sites — compression, batched factorization, stream-mode LU — took.
-  out.field("sched", sched_mode_name(sched_mode()));
   out.end_record();
   detail::emit_blocking_record<float>(out);
   detail::emit_blocking_record<double>(out);

@@ -7,7 +7,7 @@
 /// Clang thread-safety annotations (no-ops elsewhere) and the annotated
 /// locking vocabulary the runtime uses.
 ///
-/// The concurrency invariants of the pool/scheduler layer — which fields a
+/// The concurrency invariants of the pool and backend layer — which fields a
 /// mutex guards, which functions require it held — used to live only in
 /// comments. These macros turn them into declarations clang's
 /// -Wthread-safety analysis can check at compile time: a CI job builds the
@@ -27,7 +27,7 @@
 ///    lambda's definition (without the caller's lock set) and would warn, so
 ///    the runtime spells the loops out.
 ///  - Atomics are self-synchronizing and stay unannotated (fault_stats,
-///    sched_stats, audit_stats, in-degree arrays, device counters).
+///    backend_stats, device counters).
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -68,9 +68,9 @@ class HODLRX_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Scoped lock for Mutex. Supports mid-scope unlock()/lock() (the TaskGraph
-/// worker loop drops the lock around node bodies); the destructor releases
-/// only if still held.
+/// Scoped lock for Mutex. Supports mid-scope unlock()/lock() (the async
+/// backend's drain loop drops the lock around launch bodies); the destructor
+/// releases only if still held.
 class HODLRX_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) HODLRX_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }

@@ -11,7 +11,6 @@
 #include "common/fault.hpp"
 #include "common/flops.hpp"
 #include "common/parallel.hpp"
-#include "common/task_graph.hpp"
 #include "common/trsm_kernel.hpp"
 
 namespace hodlrx {
@@ -157,170 +156,6 @@ void getrf_nopivot_blocked(MatrixView<T> a) {
   }
 }
 
-/// Whether the stream-mode LU drivers should use the dependency-graph
-/// lookahead path: HODLRX_SCHED=graph, a matrix big enough to have panels
-/// worth overlapping, a pool to overlap them on, and not already inside a
-/// parallel region (graph workers need the pool's launch slot). Restricted
-/// to n <= m so the kBlock column grid covers exactly the panels — every
-/// square LU in the library qualifies.
-inline bool lu_graph_eligible(index_t m, index_t n) {
-  constexpr index_t kBlock = 64;
-  if (n > m || n <= 2 * kBlock) return false;
-  if (sched_mode() != SchedMode::kGraph) return false;
-  return max_threads() > 1 && !in_parallel();
-}
-
-/// Dependency-graph lookahead LU (the classical right-looking DAG):
-///   P(p)   = unblocked LU of panel p (+ global pivot indices)
-///   U(p,j) = panel p's row swaps on column block j > p, then the L11^{-1}
-///            TRSM and the trailing GEMM of that block
-///   S(p,j) = panel p's row swaps on an already-factored block j < p
-/// with edges P(p) <- U(p-1,p) and U/S(p,j) <- {P(p), last writer of block
-/// j}. The critical-path edge P(p) -> U(p,p+1) is added LAST so the LIFO
-/// ready stack schedules the next panel's prerequisite first (lookahead):
-/// panel p+1 factors while panel p's remaining trailing blocks update. The
-/// arithmetic per block is identical to getrf_blocked — only the
-/// interleaving changes.
-///
-/// Every U(p,j) also READS panel p's columns (the TRSM triangle and the
-/// GEMM's A21 operand), and later left-swap nodes S(p',p) WRITE rows of
-/// those same columns. The tail[] chains only order writers, so the first
-/// S(p',p) additionally takes fan-in edges from every U(p,·) reader
-/// (readers[p], cleared once consumed; subsequent S nodes are ordered
-/// through the tail[p] chain). The access auditor found this pair
-/// unordered when the declarations below were first added.
-template <typename T>
-void getrf_graph(MatrixView<T> a, index_t* ipiv) {
-  const index_t m = a.rows, n = a.cols;
-  constexpr index_t kBlock = 64;
-  const index_t np = (n + kBlock - 1) / kBlock;  // panels == column blocks
-  TaskGraph gph;
-  std::vector<TaskGraph::NodeId> tail(static_cast<std::size_t>(np),
-                                      TaskGraph::NodeId{-1});
-  // readers[j] = U(j,·) nodes that read panel j's columns and are not yet
-  // ordered against a later swap of those columns.
-  std::vector<std::vector<TaskGraph::NodeId>> readers(
-      static_cast<std::size_t>(np));
-  for (index_t p = 0; p < np; ++p) {
-    const index_t k = p * kBlock;
-    const index_t nb = std::min(kBlock, n - k);
-    const TaskGraph::NodeId pn = gph.add(
-        [=] {
-          MatrixView<T> panel = a.block(k, k, m - k, nb);
-          getrf_unblocked(panel, ipiv + k);
-          for (index_t i = 0; i < nb; ++i) ipiv[k + i] += k;
-        },
-        "P", p);
-    gph.writes(pn, a.data, k, m, k, k + nb);
-    gph.writes(pn, ipiv, k, k + nb);
-    if (tail[static_cast<std::size_t>(p)] >= 0)
-      gph.add_edge(tail[static_cast<std::size_t>(p)], pn);
-    tail[static_cast<std::size_t>(p)] = pn;
-    for (index_t j = 0; j < p; ++j) {  // S(p,j): left swap-only nodes
-      const index_t j0 = j * kBlock;
-      const index_t jn = std::min(kBlock, n - j0);
-      const TaskGraph::NodeId s = gph.add(
-          [=] {
-            MatrixView<T> left = a.block(0, j0, m, jn);
-            for (index_t i = 0; i < nb; ++i) {
-              const index_t piv = ipiv[k + i];
-              if (piv != k + i)
-                for (index_t jj = 0; jj < jn; ++jj)
-                  std::swap(left(k + i, jj), left(piv, jj));
-            }
-          },
-          "S", p, j);
-      gph.writes(s, a.data, k, m, j0, j0 + jn);
-      gph.reads(s, ipiv, k, k + nb);
-      for (const TaskGraph::NodeId r : readers[static_cast<std::size_t>(j)])
-        gph.add_edge(r, s);
-      readers[static_cast<std::size_t>(j)].clear();
-      gph.add_edge(tail[static_cast<std::size_t>(j)], s);
-      gph.add_edge(pn, s);
-      tail[static_cast<std::size_t>(j)] = s;
-    }
-    for (index_t j = np - 1; j > p; --j) {  // U(p,j), critical block last
-      const index_t j0 = j * kBlock;
-      const index_t jn = std::min(kBlock, n - j0);
-      const TaskGraph::NodeId u = gph.add(
-          [=] {
-            MatrixView<T> blk = a.block(0, j0, m, jn);
-            for (index_t i = 0; i < nb; ++i) {
-              const index_t piv = ipiv[k + i];
-              if (piv != k + i)
-                for (index_t jj = 0; jj < jn; ++jj)
-                  std::swap(blk(k + i, jj), blk(piv, jj));
-            }
-            trsm_left(Uplo::Lower, Diag::Unit, a.block(k, k, nb, nb),
-                      a.block(k, j0, nb, jn));
-            if (k + nb < m) {
-              ConstMatrixView<T> a21(a.block(k + nb, k, m - (k + nb), nb));
-              ConstMatrixView<T> a12(a.block(k, j0, nb, jn));
-              MatrixView<T> a22 =
-                  a.block(k + nb, j0, m - (k + nb), jn);
-              gemm(Op::N, Op::N, T{-1}, a21, a12, T{1}, a22);
-            }
-          },
-          "U", p, j);
-      gph.reads(u, a.data, k, m, k, k + nb);  // panel p: TRSM tri + A21
-      gph.reads(u, ipiv, k, k + nb);
-      gph.writes(u, a.data, k, m, j0, j0 + jn);
-      readers[static_cast<std::size_t>(p)].push_back(u);
-      if (tail[static_cast<std::size_t>(j)] >= 0)
-        gph.add_edge(tail[static_cast<std::size_t>(j)], u);
-      gph.add_edge(pn, u);
-      tail[static_cast<std::size_t>(j)] = u;
-    }
-  }
-  gph.run();
-}
-
-/// Pivot-free variant of getrf_graph: no swap work, so only P(p) and the
-/// TRSM+GEMM update nodes U(p,j) remain.
-template <typename T>
-void getrf_nopivot_graph(MatrixView<T> a) {
-  const index_t m = a.rows, n = a.cols;
-  constexpr index_t kBlock = 64;
-  const index_t np = (n + kBlock - 1) / kBlock;
-  TaskGraph gph;
-  std::vector<TaskGraph::NodeId> tail(static_cast<std::size_t>(np),
-                                      TaskGraph::NodeId{-1});
-  for (index_t p = 0; p < np; ++p) {
-    const index_t k = p * kBlock;
-    const index_t nb = std::min(kBlock, n - k);
-    const TaskGraph::NodeId pn = gph.add(
-        [=] { getrf_nopivot_unblocked(a.block(k, k, m - k, nb)); }, "P", p);
-    gph.writes(pn, a.data, k, m, k, k + nb);
-    if (tail[static_cast<std::size_t>(p)] >= 0)
-      gph.add_edge(tail[static_cast<std::size_t>(p)], pn);
-    tail[static_cast<std::size_t>(p)] = pn;
-    for (index_t j = np - 1; j > p; --j) {
-      const index_t j0 = j * kBlock;
-      const index_t jn = std::min(kBlock, n - j0);
-      const TaskGraph::NodeId u = gph.add(
-          [=] {
-            trsm_left(Uplo::Lower, Diag::Unit, a.block(k, k, nb, nb),
-                      a.block(k, j0, nb, jn));
-            if (k + nb < m) {
-              ConstMatrixView<T> a21(a.block(k + nb, k, m - (k + nb), nb));
-              ConstMatrixView<T> a12(a.block(k, j0, nb, jn));
-              MatrixView<T> a22 =
-                  a.block(k + nb, j0, m - (k + nb), jn);
-              gemm(Op::N, Op::N, T{-1}, a21, a12, T{1}, a22);
-            }
-          },
-          "U", p, j);
-      gph.reads(u, a.data, k, m, k, k + nb);  // panel p, never re-swapped
-      gph.writes(u, a.data, k, m, j0, j0 + jn);
-      if (tail[static_cast<std::size_t>(j)] >= 0)
-        gph.add_edge(tail[static_cast<std::size_t>(j)], u);
-      gph.add_edge(pn, u);
-      tail[static_cast<std::size_t>(j)] = u;
-    }
-  }
-  gph.run();
-}
-
 /// Flops the blocked drivers' internal trsm_left/gemm calls will record on
 /// their own (mirrors the block loop exactly). Subtracted from the getrf
 /// total so an LU is not double-counted; computed analytically so the
@@ -399,10 +234,7 @@ template <typename T>
 void getrf_parallel(MatrixView<T> a, index_t* ipiv) {
   if (std::min(a.rows, a.cols) == 0) return;
   GrowthScan<T> growth(a);
-  if (lu_graph_eligible(a.rows, a.cols))
-    getrf_graph<T>(a, ipiv);
-  else
-    getrf_blocked<T, true>(a, ipiv);
+  getrf_blocked<T, true>(a, ipiv);
   add_getrf_flops<T>(a.rows, a.cols);
 }
 
@@ -422,10 +254,7 @@ void getrf_nopivot_parallel(MatrixView<T> a) {
   HODLRX_REQUIRE(!fault::should_fire(fault::Site::kGetrfPivot),
                  "getrf_nopivot: zero pivot at column 0 (injected fault)");
   GrowthScan<T> growth(a);
-  if (lu_graph_eligible(a.rows, a.cols))
-    getrf_nopivot_graph<T>(a);
-  else
-    getrf_nopivot_blocked<T, true>(a);
+  getrf_nopivot_blocked<T, true>(a);
   add_getrf_flops<T>(a.rows, a.cols);
 }
 

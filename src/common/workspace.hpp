@@ -21,12 +21,9 @@
 /// is the only way to reach one, and the slot table has no mutex on purpose,
 /// so there is nothing for the clang thread-safety annotations
 /// (common/annotations.hpp) to guard. Never stash a slot pointer where
-/// another thread (a pool worker, a TaskGraph node body) can see it: a
+/// another thread (a pool worker, a deferred stream launch) can see it: a
 /// get() on the owning thread may reallocate or drop the buffer under the
-/// borrower. Cross-node workspace handoffs in graph-scheduled sweeps use
-/// dedicated buffers instead and declare them to the access auditor
-/// (common/access_audit.hpp), which verifies the graph edges order every
-/// reader against the slot's refill.
+/// borrower. Workspace shared across a launch lives in dedicated buffers.
 
 namespace hodlrx {
 

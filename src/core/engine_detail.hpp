@@ -58,11 +58,8 @@ struct FactorEngine {
 
   // Engine entry points (factor_serial.cpp / factor_batched.cpp). The
   // factor stages take the (optional) report for breakdown bookkeeping.
-  // run_factor_batched dispatches to the dependency-graph variant when
-  // HODLRX_SCHED=graph; the level-synchronous sweep is the default.
   static void run_factor_serial(F& f, FactorReport* report);
   static void run_factor_batched(F& f, FactorReport* report);
-  static void run_factor_batched_graph(F& f, FactorReport* report);
   static void run_solve_serial(const F& f, MatrixView<T> b);
   static void run_solve_batched(const F& f, MatrixView<T> b);
 

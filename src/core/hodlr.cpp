@@ -10,8 +10,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
-#include "common/task_graph.hpp"
-#include "device/backend.hpp"
 #include "device/device.hpp"
 #include "lowrank/aca.hpp"
 #include "lowrank/recompress.hpp"
@@ -339,364 +337,6 @@ void build_from_generator_rsvd(const MatrixGenerator<T>& g,
   fold_rsvd_breakdowns(bd, report);
 }
 
-/// One uniform level side of a graph-mode compression sweep (level `level`,
-/// upper = the A(I_2j, I_2j+1) blocks). Sides are the compress-node
-/// granularity: every side gets ONE batched-rsvd node, fed by per-tile
-/// materialization nodes on the generator path.
-struct SweepSide {
-  index_t level = 0;
-  index_t begin = 0;  ///< level_begin(level)
-  index_t q = 0;      ///< sibling pairs (= tiles per side)
-  index_t s = 0;      ///< uniform node size
-  bool upper = false;
-};
-
-/// Collect the uniform-level sides in level order (upper before lower) —
-/// the linear order the double-buffered workspace chain serializes over.
-inline std::vector<SweepSide> collect_uniform_sides(const ClusterTree& tree) {
-  std::vector<SweepSide> sides;
-  for (index_t level = 1; level <= tree.depth(); ++level) {
-    const index_t s = uniform_level_size(tree, level);
-    if (s <= 0) continue;
-    const index_t begin = ClusterTree::level_begin(level);
-    const index_t q = ClusterTree::nodes_at_level(level) / 2;
-    sides.push_back({level, begin, q, s, true});
-    sides.push_back({level, begin, q, s, false});
-  }
-  return sides;
-}
-
-/// Store one side's factors (the per-side half of store_level_factors).
-template <typename T>
-void store_side_factors(Staged<T>& st, const SweepSide& side,
-                        std::vector<LowRankFactor<T>>&& fs) {
-  for (index_t j = 0; j < side.q; ++j) {
-    const index_t nu = side.begin + 2 * j;
-    const index_t sib = nu + 1;
-    if (side.upper) {
-      st.u[nu] = std::move(fs[j].u);
-      st.v[sib] = std::move(fs[j].v);
-    } else {
-      st.u[sib] = std::move(fs[j].u);
-      st.v[nu] = std::move(fs[j].v);
-    }
-  }
-}
-
-/// Graph-node version of the non-uniform-level and leaf tasks shared by
-/// both builds: add one independent node per off-diagonal block of every
-/// non-uniform level and one per leaf diagonal block. `hspace` is the audit
-/// identity of the factor storage (see factor_space_docs below): U factors
-/// live in column 0 at row nu, V factors in column 1, leaf blocks in column
-/// 2 at the leaf index.
-template <typename T, typename BlockFn, typename LeafFn>
-void add_irregular_nodes(TaskGraph& gph, const ClusterTree& tree,
-                         const void* hspace, BlockFn&& block_fn,
-                         LeafFn&& leaf_fn) {
-  for (index_t level = 1; level <= tree.depth(); ++level) {
-    if (uniform_level_size(tree, level) > 0) continue;
-    const index_t begin = ClusterTree::level_begin(level);
-    const index_t count = ClusterTree::nodes_at_level(level);
-    for (index_t t = 0; t < count; ++t) {
-      const index_t nu = begin + t;
-      const TaskGraph::NodeId id =
-          gph.add([block_fn, level, nu] { block_fn(level, nu); }, "block",
-                  level, nu);
-      gph.writes(id, hspace, nu, nu + 1, 0, 1);
-      gph.writes(id, hspace, ClusterTree::sibling(nu),
-                 ClusterTree::sibling(nu) + 1, 1, 2);
-    }
-  }
-  for (index_t j = 0; j < tree.num_leaves(); ++j) {
-    const TaskGraph::NodeId id = gph.add([leaf_fn, j] { leaf_fn(j); }, "leaf", j);
-    gph.writes(id, hspace, j, j + 1, 2, 3);
-  }
-}
-
-/// Declare one compress node's factor-store writes: side `side` moves U/V
-/// factors into h for each of its q sibling pairs. Upper sides write U at
-/// the even node of the pair and V at the odd one; lower sides the reverse —
-/// disjoint per-element rectangles, so the auditor proves the two sides of a
-/// level (and all levels) may run unordered.
-inline void declare_side_stores(TaskGraph& gph, TaskGraph::NodeId id,
-                                const void* hspace, const SweepSide& side) {
-  for (index_t j = 0; j < side.q; ++j) {
-    const index_t nu = side.begin + 2 * j;
-    const index_t sib = nu + 1;
-    const index_t u_at = side.upper ? nu : sib;
-    const index_t v_at = side.upper ? sib : nu;
-    gph.writes(id, hspace, u_at, u_at + 1, 0, 1);
-    gph.writes(id, hspace, v_at, v_at + 1, 1, 2);
-  }
-}
-
-/// Dependency-graph twin of build_from_dense_rsvd: every uniform level side
-/// is ONE compress node reading the dense view directly, so all sides (and
-/// the leaf copies) run concurrently — level L+1's compression overlaps
-/// level L's batched QR/SVD drain instead of waiting at a level barrier.
-template <typename T>
-void build_from_dense_rsvd_graph(ConstMatrixView<T> a, const ClusterTree& tree,
-                                 const BuildOptions& opt, Staged<T>& st,
-                                 FactorReport* report) {
-  const RsvdOptions base = rsvd_options(opt);
-  const std::vector<SweepSide> sides = collect_uniform_sides(tree);
-  // Per-side breakdown counters: compress nodes run concurrently, so each
-  // writes its own slot and the slots are merged after the graph drains.
-  std::vector<RsvdBreakdowns> bds(sides.size() + 1);
-  TaskGraph gph;
-  for (std::size_t k = 0; k < sides.size(); ++k) {
-    const SweepSide side = sides[k];
-    const TaskGraph::NodeId id = gph.add([&, side, k] {
-      const index_t b0 = tree.node(side.begin).begin;
-      const index_t stride = 2 * side.s * (a.ld + 1);
-      const T* base_ptr = side.upper
-                              ? a.data + b0 + (b0 + side.s) * a.ld
-                              : a.data + (b0 + side.s) + b0 * a.ld;
-      RsvdOptions ropt = base;
-      ropt.on_breakdown = opt.on_breakdown;
-      ropt.breakdowns = &bds[k];
-      ropt.seed = opt.seed + 2 * side.level + (side.upper ? 0 : 1);
-      auto fs = rsvd_strided_batched<T>(base_ptr, a.ld, stride, side.s,
-                                        side.s, side.q, ropt);
-      store_side_factors<T>(st, side, std::move(fs));
-    }, "compress", side.level, side.upper ? 0 : 1);
-    declare_side_stores(gph, id, &st, side);
-  }
-  add_irregular_nodes<T>(
-      gph, tree, &st,
-      [&](index_t level, index_t nu) {
-        const index_t sib = ClusterTree::sibling(nu);
-        const ClusterNode& rowc = tree.node(nu);
-        const ClusterNode& colc = tree.node(sib);
-        RsvdOptions ropt = base;
-        ropt.on_breakdown = opt.on_breakdown;
-        ropt.seed = opt.seed + 2 * level;
-        LowRankFactor<T> f = rsvd<T>(
-            a.block(rowc.begin, colc.begin, rowc.size(), colc.size()), ropt);
-        st.u[nu] = std::move(f.u);
-        st.v[sib] = std::move(f.v);
-      },
-      [&](index_t j) {
-        const ClusterNode& c = tree.node(tree.leaf(j));
-        copy(a.block(c.begin, c.begin, c.size(), c.size()), st.leaf(j));
-      });
-  gph.run();
-  RsvdBreakdowns bd;
-  for (const RsvdBreakdowns& b : bds) {
-    bd.svd_nonconverged += b.svd_nonconverged;
-    bd.svd_recovered += b.svd_recovered;
-  }
-  fold_rsvd_breakdowns(bd, report);
-}
-
-/// Dependency-graph twin of build_from_generator_rsvd. Nodes: one tile-
-/// materialization node per sibling pair (fills tile j of a side into the
-/// side's workspace slot) and one batched-rsvd compress node per side, plus
-/// the independent non-uniform/leaf nodes. Edges: every tile feeds its
-/// side's compress node, and the workspace is DOUBLE-BUFFERED (side k uses
-/// slot k%2, so side k's tiles wait on side k-2's compress) — level L+1 can
-/// materialize and compress while level L's batched QR/SVD drains, at the
-/// cost of two live level sides instead of one (peak 2x the levels-mode
-/// workspace; still at most half the dense matrix).
-template <typename T>
-void build_from_generator_rsvd_graph(const MatrixGenerator<T>& g,
-                                     const ClusterTree& tree,
-                                     const BuildOptions& opt, Staged<T>& st,
-                                     FactorReport* report) {
-  const RsvdOptions base = rsvd_options(opt);
-  const std::vector<SweepSide> sides = collect_uniform_sides(tree);
-  std::vector<RsvdBreakdowns> bds(sides.size() + 1);
-
-  std::size_t slot_need[2] = {0, 0};
-  for (std::size_t k = 0; k < sides.size(); ++k)
-    slot_need[k % 2] =
-        std::max(slot_need[k % 2], static_cast<std::size_t>(sides[k].q) *
-                                       sides[k].s * sides[k].s);
-  std::vector<T, AlignedAllocator<T>> ws[2];
-  DeviceAllocation ws_mem[2];
-  for (int slot = 0; slot < 2; ++slot)
-    if (slot_need[slot] > 0) {
-      ws[slot].resize(slot_need[slot]);
-      ws_mem[slot] = DeviceAllocation(slot_need[slot] * sizeof(T));
-    }
-
-  TaskGraph gph;
-  std::vector<TaskGraph::NodeId> compress_node(sides.size());
-  for (std::size_t k = 0; k < sides.size(); ++k) {
-    const SweepSide side = sides[k];
-    T* wdata = ws[k % 2].data();
-    compress_node[k] = gph.add([&, side, k, wdata] {
-      DeviceContext::global().record_h2d(static_cast<std::size_t>(side.q) *
-                                         side.s * side.s * sizeof(T));
-      RsvdOptions ropt = base;
-      ropt.on_breakdown = opt.on_breakdown;
-      ropt.breakdowns = &bds[k];
-      ropt.seed = opt.seed + 2 * side.level + (side.upper ? 0 : 1);
-      auto fs = rsvd_strided_batched<T>(wdata, side.s, side.s * side.s,
-                                        side.s, side.s, side.q, ropt);
-      store_side_factors<T>(st, side, std::move(fs));
-    }, "compress", side.level, side.upper ? 0 : 1);
-    // Audit: the compress node reads the whole staged slot (flattened
-    // element offsets; the slot base is the space identity) and stores the
-    // side's factors.
-    gph.reads(compress_node[k], wdata, 0, side.q * side.s * side.s);
-    declare_side_stores(gph, compress_node[k], &st, side);
-  }
-  for (std::size_t k = 0; k < sides.size(); ++k) {
-    const SweepSide side = sides[k];
-    const index_t b0 = tree.node(side.begin).begin;
-    T* wdata = ws[k % 2].data();
-    for (index_t j = 0; j < side.q; ++j) {
-      const TaskGraph::NodeId fill = gph.add([&, side, b0, wdata, j] {
-        const index_t row0 = b0 + 2 * j * side.s + (side.upper ? 0 : side.s);
-        const index_t col0 = b0 + 2 * j * side.s + (side.upper ? side.s : 0);
-        g.fill_block(row0, col0,
-                     MatrixView<T>{wdata + j * side.s * side.s, side.s,
-                                   side.s, side.s});
-      }, "tile-fill", static_cast<index_t>(k), j);
-      // Audit: tile j overwrites its slice of the shared slot. The recycle
-      // edges below are exactly what orders these writes against the
-      // previous tenant's compress read — the auditor proves the
-      // double-buffer chain is complete.
-      gph.writes(fill, wdata, j * side.s * side.s, (j + 1) * side.s * side.s);
-      // Workspace recycling: this side's tiles overwrite the slot the
-      // side-before-last compressed out of.
-      if (k >= 2) gph.add_edge(compress_node[k - 2], fill, "ws-recycle");
-      gph.add_edge(fill, compress_node[k]);
-    }
-  }
-  add_irregular_nodes<T>(
-      gph, tree, &st,
-      [&](index_t level, index_t nu) {
-        const index_t sib = ClusterTree::sibling(nu);
-        const ClusterNode& rowc = tree.node(nu);
-        const ClusterNode& colc = tree.node(sib);
-        Matrix<T> block(rowc.size(), colc.size());
-        g.fill_block(rowc.begin, colc.begin, block);
-        RsvdOptions ropt = base;
-        ropt.on_breakdown = opt.on_breakdown;
-        ropt.seed = opt.seed + 2 * level;
-        LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-        st.u[nu] = std::move(f.u);
-        st.v[sib] = std::move(f.v);
-      },
-      [&](index_t j) {
-        const ClusterNode& c = tree.node(tree.leaf(j));
-        g.fill_block(c.begin, c.begin, st.leaf(j));
-      });
-  gph.run();
-  RsvdBreakdowns bd;
-  for (const RsvdBreakdowns& b : bds) {
-    bd.svd_nonconverged += b.svd_nonconverged;
-    bd.svd_recovered += b.svd_recovered;
-  }
-  fold_rsvd_breakdowns(bd, report);
-}
-
-/// Stream-issued twin of build_from_generator_rsvd for asynchronous
-/// backends. Each uniform side's tiles are filled on the host pool, then the
-/// side's whole batched-rsvd compression is LAUNCHED onto one of two
-/// alternating streams and the builder moves straight on to the next side —
-/// so when a drain runs, the two streams' queued compressions execute
-/// concurrently (level L+1's compression overlaps level L's drain) instead
-/// of serializing at a level barrier. The workspace is double-buffered like
-/// the graph build: an Event recorded after side k's compression gates the
-/// refill of its slot by side k+2 — the ws-recycle edge of the graph build,
-/// expressed as a stream event. Workspace lives in DeviceBuffers (real
-/// backend-owned memory), so an allocation failure takes the device.alloc
-/// drain-and-retry recovery rung.
-template <typename T>
-void build_from_generator_rsvd_async(const MatrixGenerator<T>& g,
-                                     const ClusterTree& tree,
-                                     const BuildOptions& opt, Staged<T>& st,
-                                     FactorReport* report) {
-  const RsvdOptions base = rsvd_options(opt);
-  const std::vector<SweepSide> sides = collect_uniform_sides(tree);
-  std::vector<RsvdBreakdowns> bds(sides.size() + 1);
-  // Deferred compressions write their factors here (one slot per side, no
-  // sharing); the factors are moved into `st` only after the streams drain.
-  std::vector<std::vector<LowRankFactor<T>>> results(sides.size());
-
-  std::size_t slot_need[2] = {0, 0};
-  for (std::size_t k = 0; k < sides.size(); ++k)
-    slot_need[k % 2] =
-        std::max(slot_need[k % 2], static_cast<std::size_t>(sides[k].q) *
-                                       sides[k].s * sides[k].s);
-  DeviceBuffer ws[2];
-  for (int slot = 0; slot < 2; ++slot)
-    if (slot_need[slot] > 0) ws[slot] = DeviceBuffer(slot_need[slot] * sizeof(T));
-
-  {
-    Stream streams[2];
-    std::vector<Event> done(sides.size());
-    for (std::size_t k = 0; k < sides.size(); ++k) {
-      const SweepSide side = sides[k];
-      T* wdata = ws[k % 2].template as<T>();
-      const std::size_t need =
-          static_cast<std::size_t>(side.q) * side.s * side.s;
-      // Slot recycle gate: the side-before-last compressed out of this slot;
-      // its event must complete before the slot is overwritten. The
-      // synchronize drains BOTH streams' queues up to that point (the
-      // calling thread helps), which is where the queued compressions
-      // actually overlap.
-      if (k >= 2) done[k - 2].synchronize();
-      parallel_for(side.q, [&](index_t j) {
-        const index_t b0 = tree.node(side.begin).begin;
-        const index_t row0 = b0 + 2 * j * side.s + (side.upper ? 0 : side.s);
-        const index_t col0 = b0 + 2 * j * side.s + (side.upper ? side.s : 0);
-        g.fill_block(row0, col0,
-                     MatrixView<T>{wdata + j * side.s * side.s, side.s,
-                                   side.s, side.s});
-      });
-      DeviceContext::global().record_h2d(need * sizeof(T));
-      streams[k % 2].launch("compress-side", [&, side, k, wdata] {
-        RsvdOptions ropt = base;
-        ropt.on_breakdown = opt.on_breakdown;
-        ropt.breakdowns = &bds[k];
-        ropt.seed = opt.seed + 2 * side.level + (side.upper ? 0 : 1);
-        results[k] = rsvd_strided_batched<T>(wdata, side.s, side.s * side.s,
-                                             side.s, side.s, side.q, ropt);
-      });
-      streams[k % 2].record(done[k]);
-    }
-    streams[0].synchronize();
-    streams[1].synchronize();
-    for (std::size_t k = 0; k < sides.size(); ++k)
-      store_side_factors<T>(st, sides[k], std::move(results[k]));
-  }
-
-  RsvdOptions ropt = base;
-  ropt.on_breakdown = opt.on_breakdown;
-  ropt.breakdowns = &bds[sides.size()];
-  for (index_t level = 1; level <= tree.depth(); ++level) {
-    if (uniform_level_size(tree, level) > 0) continue;
-    const index_t begin = ClusterTree::level_begin(level);
-    const index_t count = ClusterTree::nodes_at_level(level);
-    ropt.seed = opt.seed + 2 * level;
-    parallel_for(count, [&](index_t t) {
-      const index_t nu = begin + t;
-      const index_t sib = ClusterTree::sibling(nu);
-      const ClusterNode& rowc = tree.node(nu);
-      const ClusterNode& colc = tree.node(sib);
-      Matrix<T> block(rowc.size(), colc.size());
-      g.fill_block(rowc.begin, colc.begin, block);
-      LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-      st.u[nu] = std::move(f.u);
-      st.v[sib] = std::move(f.v);
-    });
-  }
-  parallel_for(tree.num_leaves(), [&](index_t j) {
-    const ClusterNode& c = tree.node(tree.leaf(j));
-    g.fill_block(c.begin, c.begin, st.leaf(j));
-  });
-  RsvdBreakdowns bd;
-  for (const RsvdBreakdowns& b : bds) {
-    bd.svd_nonconverged += b.svd_nonconverged;
-    bd.svd_recovered += b.svd_recovered;
-  }
-  fold_rsvd_breakdowns(bd, report);
-}
-
 }  // namespace
 
 PanelLayout PanelLayout::make(const ClusterTree& tree,
@@ -755,12 +395,7 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
                                         << " but tree has n=" << tree.n());
   Staged<T> st(tree);
   if (opt.compressor == Compressor::kRsvdBatched) {
-    if (sched_mode() == SchedMode::kGraph)
-      build_from_generator_rsvd_graph<T>(g, tree, opt, st, report);
-    else if (backend().asynchronous())
-      build_from_generator_rsvd_async<T>(g, tree, opt, st, report);
-    else
-      build_from_generator_rsvd<T>(g, tree, opt, st, report);
+    build_from_generator_rsvd<T>(g, tree, opt, st, report);
     HodlrMatrix<T> h = finalize(std::move(st));
     scan_build_finite(h, opt.on_breakdown, report);
     return h;
@@ -832,7 +467,9 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
   // rank ACA achieved and doubles until the truncated rank falls below the
   // sketch width (the tol tail was captured) — a full min(m, n)-wide sketch
   // on a large block would be an O(n^3) retry. Under kReport the
-  // achieved-rank factor is kept and only recorded.
+  // achieved-rank factor is kept and only recorded. The same holds for a
+  // block with NaN or Inf entries under kRecover: rsvd would truncate it to
+  // rank 0 and call it recovered, so its non-finite entries are counted.
   RsvdBreakdowns bd;
   for (index_t task = 0; task < num_offdiag; ++task) {
     if (!stalled[task]) continue;
@@ -850,6 +487,18 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
     if (opt.on_breakdown != OnBreakdown::kRecover) continue;
     Matrix<T> block(rowc.size(), colc.size());
     g.fill_block(rowc.begin, colc.begin, block);
+    const index_t bad = count_nonfinite<T>(block);
+    if (bad > 0) {
+      if (report != nullptr) {
+        report->nonfinite_values += bad;
+        report->events.push_back(
+            "build: block (" + std::to_string(nu) + ", " +
+            std::to_string(sib) + ") has " + std::to_string(bad) +
+            " non-finite value(s); kept the aca factor of rank " +
+            std::to_string(st.u[nu].cols()));
+      }
+      continue;
+    }
     const index_t minmn = std::min(rowc.size(), colc.size());
     index_t sketch =
         opt.max_rank > 0
@@ -918,10 +567,7 @@ HodlrMatrix<T> HodlrMatrix<T>::build_from_dense(ConstMatrixView<T> a,
                                                 << tree.n());
   if (opt.compressor == Compressor::kRsvdBatched) {
     Staged<T> st(tree);
-    if (sched_mode() == SchedMode::kGraph)
-      build_from_dense_rsvd_graph<T>(a, tree, opt, st, report);
-    else
-      build_from_dense_rsvd<T>(a, tree, opt, st, report);
+    build_from_dense_rsvd<T>(a, tree, opt, st, report);
     HodlrMatrix<T> h = finalize(std::move(st));
     scan_build_finite(h, opt.on_breakdown, report);
     return h;

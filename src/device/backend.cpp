@@ -124,9 +124,7 @@ struct StreamState {
 
 /// FIFO queues drained by the persistent ThreadPool. All state sits behind
 /// one mutex; launch bodies run with the lock dropped. One drain dispatches
-/// exactly one pool launch (or none when the target is already met), so a
-/// TaskGraph run lowered onto streams keeps the one-launch-per-run warm-pool
-/// invariant that test_scheduler pins.
+/// exactly one pool launch (or none when the target is already met).
 class AsyncEngine {
  public:
   std::shared_ptr<StreamState> create_stream() {
@@ -275,7 +273,7 @@ class AsyncEngine {
         if (all_idle()) {
           // Quiescent with the target unmet: every remaining head is a
           // wait whose record sits behind it — a cross-stream wait cycle.
-          // Fail the drain instead of deadlocking (TaskGraph contract).
+          // Fail the drain instead of deadlocking.
           if (!failed_ && any_pending()) {
             std::size_t stuck = 0;
             for (const auto& s : streams_) stuck += s->q.size();

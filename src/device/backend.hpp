@@ -28,15 +28,18 @@
 ///    (`record` on the producing stream, `wait` on the consuming one) —
 ///    exactly the cudaStream/cudaEvent contract.
 ///  - The registry (`backend()`, selected by `HODLRX_BACKEND`, reread per
-///    call like HODLRX_SCHED/HODLRX_FAULT) ships two backends:
+///    call like HODLRX_FAULT) ships two backends:
 ///      * `host`       — inline-synchronous; every launch runs immediately
 ///                       on the calling thread. Bit-for-bit the pre-backend
 ///                       behavior; the default.
 ///      * `host-async` — launches enqueue onto per-stream FIFO queues and
 ///                       are drained by the persistent ThreadPool at
 ///                       synchronization points, so independent streams
-///                       genuinely overlap (compression of level L+1 runs
-///                       while level L's queue drains).
+///                       genuinely overlap.
+///
+/// The batched drivers defer onto a stream only while one is bound
+/// (StreamScope). No library sweep binds one today; the conformance suite
+/// does, and `host-async` is the test double a device port is held to.
 ///
 /// A future CUDA/HIP backend implements the same five virtuals and must pass
 /// tests/test_backend_conformance.cpp unchanged — that suite, not this
@@ -96,7 +99,7 @@ class Backend {
 };
 
 /// The active backend: `HODLRX_BACKEND` if set and registered, else `host`.
-/// The environment is reread on every call (the HODLRX_SCHED convention), so
+/// The environment is reread on every call (the HODLRX_FAULT convention), so
 /// tests flip backends with setenv at runtime; unknown names fall back to
 /// `host` rather than failing, matching the other env knobs.
 Backend& backend();
@@ -258,13 +261,12 @@ class DeviceBuffer {
   std::size_t bytes_ = 0;
 };
 
-/// Process-wide stream/queue counters (relaxed atomics, the sched_stats
-/// pattern): tests assert which dispatch path ran and the bench JSON reports
-/// queue behavior. `deferred` counts launches enqueued onto async streams,
-/// `drained` counts deferred bodies actually executed, `events_recorded`
-/// counts Stream::record calls on async streams, `drains` counts pool-backed
-/// drain passes, and `max_queue_depth` high-watermarks any single stream's
-/// queue length.
+/// Process-wide stream/queue counters (relaxed atomics, the qr_stats
+/// pattern): tests assert which dispatch path ran. `deferred` counts launches
+/// enqueued onto async streams, `drained` counts deferred bodies actually
+/// executed, `events_recorded` counts Stream::record calls on async streams,
+/// `drains` counts pool-backed drain passes, and `max_queue_depth`
+/// high-watermarks any single stream's queue length.
 namespace backend_stats {
 std::uint64_t deferred();
 std::uint64_t drained();

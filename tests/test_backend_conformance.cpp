@@ -126,7 +126,7 @@ TEST(BackendRegistry, EnvSelectsAndDefaultsToHost) {
     EXPECT_TRUE(backend().asynchronous());
   }
   {
-    // Unknown names fall back to host (the HODLRX_SCHED convention).
+    // Unknown names fall back to host, like the other HODLRX_* knobs.
     ScopedEnv env("HODLRX_BACKEND", "cuda-nonexistent");
     EXPECT_STREQ(backend().name(), "host");
   }

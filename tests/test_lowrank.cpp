@@ -134,7 +134,9 @@ TYPED_TEST(LowrankTyped, AcaPivotTieTakesLowestIndex) {
 
 /// A NaN or Inf column in an off-diagonal block must end the cross search
 /// as a stall, never as convergence: aca() reports it, build() throws under
-/// kThrow and counts it under kRecover.
+/// kThrow and counts it under kRecover. The recovery rung must not report
+/// the block as healed: it counts the block's non-finite entries and skips
+/// the rsvd retry.
 template <typename T>
 void expect_aca_nonfinite_stalls(real_t<T> bad) {
   const index_t n = 256;
@@ -153,6 +155,8 @@ void expect_aca_nonfinite_stalls(real_t<T> bad) {
   FactorReport rep;
   EXPECT_NO_THROW(HodlrMatrix<T>::build(g, tree, bopt, &rep));
   EXPECT_GE(rep.aca_stalls, 1);
+  EXPECT_GE(rep.nonfinite_values, 1);
+  EXPECT_EQ(rep.aca_retries, 0);
 }
 
 TYPED_TEST(LowrankTyped, AcaNonFiniteColumnStalls) {
