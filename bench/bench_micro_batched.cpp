@@ -5,23 +5,18 @@
 ///
 /// Self-contained driver (no google-benchmark dependency) that emits
 /// BENCH_micro_batched.json like the other benches, so batched throughput is
-/// tracked across PRs. The batched-QR section additionally emits
-/// BENCH_qr_batched.json: the panel-synchronized batched QR engine against
-/// the seed's per-block unblocked tail (the PR 2 rsvd orthonormalization
-/// path) at the compression sweep's canonical shape.
+/// tracked across PRs. The SVD section additionally emits
+/// BENCH_svd_batched.json: the sweep-synchronized batched Jacobi truncation
+/// tail against the per-block serial tail at a canonical batched shape.
 ///
 /// Flags: --repeats N (default 3), --max-n N (cap problem sizes),
-/// --qr-only / --svd-only (run ONLY the QR / SVD section; either pins the
-/// pool to one thread unless HODLRX_NUM_THREADS is set, so the recorded
-/// speedup is the single-thread algorithmic win, not parallelism). The SVD
-/// section emits BENCH_svd_batched.json: the sweep-synchronized batched
-/// Jacobi truncation tail against the per-block serial tail (the PR 3 rsvd
-/// truncation path) at the compression sweep's canonical shape.
-/// --interleave-only (also single-thread by default) runs ONLY the
-/// across-batch SIMD stage benches — lane-major QR panel, Jacobi sweep and
-/// small-GEMM tail vs their per-problem scalar kernels, plus the full
-/// drivers at the resolved width vs HODLRX_BATCH_SIMD=1 — and emits
-/// BENCH_batch_simd.json.
+/// --svd-only (run ONLY the SVD section; pins the pool to one thread unless
+/// HODLRX_NUM_THREADS is set, so the recorded speedup is the single-thread
+/// algorithmic win, not parallelism). --interleave-only (also single-thread
+/// by default) runs ONLY the across-batch SIMD stage benches — lane-major
+/// Jacobi sweep and small-GEMM tail vs their per-problem scalar kernels,
+/// plus the Jacobi driver at the resolved width vs HODLRX_BATCH_SIMD=1 —
+/// and emits BENCH_batch_simd.json.
 
 #include <cstdlib>
 
@@ -174,84 +169,19 @@ void bench_solves(index_t batch, index_t s, index_t nrhs, int repeats,
        static_cast<double>(batch) * s * s * nrhs);
 }
 
-/// The batched QR engine vs the seed's per-block tail, at the compression
-/// sweep's canonical shape (`batch` sketches of m x n). Three contenders,
-/// all producing the explicit thin Q of every block:
-///   - qr_tail_reference_loop: per-block unblocked geqrf + per-reflector
-///     thin Q (what the rsvd tail ran before the engine existed);
-///   - qr_tail_blocked_loop: per-block blocked in-place drivers;
-///   - qr_tail_batched: the panel-synchronized strided-batched engine.
-void bench_qr(index_t batch, index_t m, index_t n, int repeats,
-              bench::JsonArrayWriter& out) {
-  Matrix<double> a0 = random_matrix<double>(m, n * batch, 42);
-  Matrix<double> work(m, n * batch);
-  std::vector<double> tau(static_cast<std::size_t>(n) * batch);
-  auto restore = [&] { copy<double>(a0.view(), work.view()); };
-  // Householder QR + explicit thin Q work per block (real flavor).
-  const double nn = static_cast<double>(n), mm = static_cast<double>(m);
-  const double work_flops =
-      static_cast<double>(batch) * 4.0 * (mm * nn * nn - nn * nn * nn / 3.0);
-
-  const double t_ref = time_best_with_setup(repeats, restore, [&] {
-    for (index_t i = 0; i < batch; ++i) {
-      QRFactors<double> qr =
-          geqrf_reference<double>(work.view().block(0, i * n, m, n));
-      Matrix<double> q = thin_q_reference<double>(qr);
-      work(0, i * n) = q(0, 0);  // keep the result alive
-    }
-  });
-  emit(out, "qr_tail_reference_loop", batch, n, t_ref, work_flops);
-
-  const double t_blocked = time_best_with_setup(repeats, restore, [&] {
-    for (index_t i = 0; i < batch; ++i) {
-      MatrixView<double> bi = work.view().block(0, i * n, m, n);
-      geqrf_inplace<double>(bi, tau.data() + i * n);
-      thin_q_inplace<double>(work.view().block(0, i * n, m, std::min(m, n)),
-                             tau.data() + i * n);
-    }
-  });
-  emit(out, "qr_tail_blocked_loop", batch, n, t_blocked, work_flops);
-
-  const double t_batched = time_best_with_setup(repeats, restore, [&] {
-    geqrf_strided_batched<double>(work.data(), m, m * n, m, n, tau.data(), n,
-                                  batch, BatchPolicy::kForceBatched);
-    thin_q_strided_batched<double>(work.data(), m, m * n, m, n, tau.data(), n,
-                                   batch, BatchPolicy::kForceBatched);
-  });
-  emit(out, "qr_tail_batched", batch, n, t_batched, work_flops);
-
-  std::printf("%-28s batch=%5lld s=%4lld  %10.2fx vs reference "
-              "(blocked loop %.2fx) on %d threads\n",
-              "qr_tail_speedup", static_cast<long long>(batch),
-              static_cast<long long>(n), t_ref / t_batched, t_ref / t_blocked,
-              max_threads());
-  out.begin_record();
-  out.field("case", "qr_tail_speedup");
-  out.field("batch", batch);
-  out.field("m", m);
-  out.field("n", n);
-  out.field("threads", static_cast<index_t>(max_threads()));
-  out.field("speedup_batched_vs_reference", t_ref / t_batched);
-  out.field("speedup_blocked_vs_reference", t_ref / t_blocked);
-  out.end_record();
-}
-
 /// Sink keeping bench results alive across the timed lambdas.
 volatile double g_sink = 0.0;
 
-/// The batched SVD/truncation tail vs the per-block serial tail, at the
-/// compression sweep's canonical shape: `batch` small problems B_i = Q_i^H
-/// A_i of l x n (wide: l = sketch width) plus the orthonormal range bases
-/// Q_i (m x l) the truncated factors multiply. Three contenders, all
-/// producing the truncated factors U_i = Q_i W_ik S_ik, V_i = Uh_ik:
+/// The batched SVD/truncation tail vs the per-block serial tail: `batch`
+/// small problems B_i of l x n (wide) plus orthonormal bases Q_i (m x l)
+/// the truncated factors multiply. Three contenders, all producing the
+/// truncated factors U_i = Q_i W_ik S_ik, V_i = Uh_ik:
 ///   - svd_tail_reference_loop: per-block seed Jacobi (scalar pair dot
-///     products) + per-block truncation gemm — what rsvd_truncate ran
-///     before the batched engine existed;
+///     products) + per-block truncation gemm;
 ///   - svd_tail_blocked_loop: per-block blocked serial driver (one Gram
 ///     GEMM per sweep) + per-block gemm;
 ///   - svd_tail_batched: sweep-synchronized jacobi_svd_strided_batched on
-///     the transposed problems + ONE strided truncation-GEMM launch (the
-///     rsvd_strided_batched tail).
+///     the transposed problems + ONE strided truncation-GEMM launch.
 void bench_svd(index_t batch, index_t l, index_t n, index_t m, int repeats,
                bench::JsonArrayWriter& out) {
   const double tol = 1e-10;
@@ -269,11 +199,12 @@ void bench_svd(index_t batch, index_t l, index_t n, index_t m, int repeats,
   // Orthonormal bases Q_i (m x l).
   Matrix<double> q = random_matrix<double>(m, l * batch, 4299);
   {
-    std::vector<double> tau(static_cast<std::size_t>(l) * batch);
-    geqrf_strided_batched<double>(q.data(), m, m * l, m, l, tau.data(), l,
-                                  batch);
-    thin_q_strided_batched<double>(q.data(), m, m * l, m, l, tau.data(), l,
-                                   batch);
+    std::vector<double> tau(static_cast<std::size_t>(l));
+    for (index_t i = 0; i < batch; ++i) {
+      MatrixView<double> qi = q.view().block(0, i * l, m, l);
+      geqrf_inplace<double>(qi, tau.data());
+      thin_q_inplace<double>(qi, tau.data());
+    }
   }
   // Nominal flop count: one Jacobi sweep's rotations plus the truncation
   // product (the GF/s column is for trend-tracking; the speedup is exact).
@@ -372,13 +303,11 @@ void emit_stage(bench::JsonArrayWriter& out, const char* name, index_t batch,
 }
 
 /// Stage-level across-batch SIMD kernels against the per-problem scalar
-/// kernels they replace, on ONE thread: the lane-major Householder panel vs
-/// a geqrf_panel loop, the lane-major Jacobi sweep vs a jacobi_sweep_gram
-/// loop, and the lane-major small-GEMM tail vs a gemm loop. The interleave /
-/// deinterleave staging transposes are INSIDE the timed region — the
-/// reported speedup is what the batched drivers actually gain. Shapes follow
-/// the compression sweep's canonical tail: `batch` sketch panels of m x n
-/// (QR) and the transposed truncation problems of m x n (Jacobi).
+/// kernels they replace, on ONE thread: the lane-major Jacobi sweep vs a
+/// jacobi_sweep_gram loop, and the lane-major small-GEMM tail vs a gemm
+/// loop. The interleave / deinterleave staging transposes are INSIDE the
+/// timed region — the reported speedup is what the batched drivers actually
+/// gain. The Jacobi shape is `batch` tall m x n problems.
 void bench_interleave_stages(index_t batch, index_t m, index_t n, int repeats,
                              bench::JsonArrayWriter& out) {
   const index_t w = resolved_blocking<double>().batch_simd_width;
@@ -386,40 +315,6 @@ void bench_interleave_stages(index_t batch, index_t m, index_t n, int repeats,
     std::printf("resolved batch width %lld: across-batch kernels disabled; "
                 "skipping stage benches\n", static_cast<long long>(w));
     return;
-  }
-
-  // --- QR panel stage -----------------------------------------------------
-  {
-    Matrix<double> a0 = random_matrix<double>(m, n * batch, 7100);
-    Matrix<double> a(m, n * batch);
-    std::vector<double> tau(static_cast<std::size_t>(n) * batch);
-    auto restore = [&] { copy<double>(a0.view(), a.view()); };
-    const double t_scalar = time_best_with_setup(repeats, restore, [&] {
-      for (index_t i = 0; i < batch; ++i)
-        geqrf_panel<double>(a.view().block(0, i * n, m, n),
-                            tau.data() + i * n);
-    });
-    const double t_batch = time_best_with_setup(repeats, restore, [&] {
-      for (index_t g0 = 0; g0 < batch; g0 += w) {
-        const index_t nlanes = std::min(w, batch - g0);
-        double* buf = interleave_workspace<double>(
-            static_cast<std::size_t>(m * n + n) * w);
-        double* taub = buf + m * n * w;
-        const double* src[16];
-        double* dst[16];
-        for (index_t l = 0; l < nlanes; ++l) {
-          dst[l] = a.data() + (g0 + l) * m * n;
-          src[l] = dst[l];
-        }
-        batch_interleave<double>(m, n, src, m, nlanes, w, buf);
-        geqrf_panel_batch<double>(m, n, buf, taub, w);
-        batch_deinterleave<double>(m, n, buf, w, nlanes, dst, m);
-        for (index_t l = 0; l < nlanes; ++l)
-          for (index_t k = 0; k < n; ++k)
-            tau[static_cast<std::size_t>((g0 + l) * n + k)] = taub[k * w + l];
-      }
-    });
-    emit_stage(out, "qr_panel_stage", batch, m, n, w, t_scalar, t_batch);
   }
 
   // --- Jacobi sweep stage -------------------------------------------------
@@ -520,8 +415,8 @@ void bench_interleave_stages(index_t batch, index_t m, index_t n, int repeats,
   }
 }
 
-/// Driver-level cross-check of the same win: the full strided-batched QR and
-/// Jacobi drivers under the RESOLVED batch width vs HODLRX_BATCH_SIMD=1 (the
+/// Driver-level cross-check of the same win: the full strided-batched
+/// Jacobi driver under the RESOLVED batch width vs HODLRX_BATCH_SIMD=1 (the
 /// bit-for-bit scalar fallback), so BENCH_batch_simd.json records both the
 /// isolated stage speedup and what survives end-to-end dispatch.
 void bench_interleave_drivers(index_t batch, index_t m, index_t n,
@@ -529,14 +424,7 @@ void bench_interleave_drivers(index_t batch, index_t m, index_t n,
   const index_t w = resolved_blocking<double>().batch_simd_width;
   Matrix<double> a0 = random_matrix<double>(m, n * batch, 7400);
   Matrix<double> a(m, n * batch);
-  std::vector<double> tau(static_cast<std::size_t>(n) * batch);
   auto restore = [&] { copy<double>(a0.view(), a.view()); };
-  auto qr_leg = [&] {
-    return time_best_with_setup(repeats, restore, [&] {
-      geqrf_strided_batched<double>(a.data(), m, m * n, m, n, tau.data(), n,
-                                    batch, BatchPolicy::kForceBatched);
-    });
-  };
   std::vector<double> sig(static_cast<std::size_t>(n) * batch);
   Matrix<double> v(n, n * batch);
   auto svd_leg = [&] {
@@ -545,46 +433,39 @@ void bench_interleave_drivers(index_t batch, index_t m, index_t n,
                                          n, v.data(), n, n * n, batch);
     });
   };
-  const double t_qr = qr_leg();
   const double t_svd = svd_leg();
   setenv("HODLRX_BATCH_SIMD", "1", /*overwrite=*/1);
   blocking_detail::refresh_for_testing();
-  const double t_qr1 = qr_leg();
   const double t_svd1 = svd_leg();
   unsetenv("HODLRX_BATCH_SIMD");
   blocking_detail::refresh_for_testing();
-  emit_stage(out, "geqrf_driver_vs_width1", batch, m, n, w, t_qr1, t_qr);
   emit_stage(out, "jacobi_driver_vs_width1", batch, m, n, w, t_svd1, t_svd);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --qr-only / --svd-only run just that section; either pins the pool to
-  // ONE thread (unless the caller overrides) BEFORE first pool use, so the
-  // emitted speedup isolates the engine's algorithmic win from parallelism.
-  bool qr_only = false, svd_only = false, interleave_only = false;
+  // --svd-only / --interleave-only run just that section; either pins the
+  // pool to ONE thread (unless the caller overrides) BEFORE first pool use,
+  // so the emitted speedup isolates the engine's algorithmic win from
+  // parallelism.
+  bool svd_only = false, interleave_only = false;
   std::vector<char*> rest;
   for (int i = 0; i < argc; ++i) {
-    if (i > 0 && !std::strcmp(argv[i], "--qr-only"))
-      qr_only = true;
-    else if (i > 0 && !std::strcmp(argv[i], "--svd-only"))
+    if (i > 0 && !std::strcmp(argv[i], "--svd-only"))
       svd_only = true;
     else if (i > 0 && !std::strcmp(argv[i], "--interleave-only"))
       interleave_only = true;
     else
       rest.push_back(argv[i]);
   }
-  if (qr_only || svd_only || interleave_only)
+  if (svd_only || interleave_only)
     setenv("HODLRX_NUM_THREADS", "1", /*overwrite=*/0);
   bench::Args args = bench::Args::parse(static_cast<int>(rest.size()),
                                         rest.data());
   if (interleave_only) {
-    // Across-batch SIMD kernels vs the per-problem scalar tails, one thread:
-    // the PR acceptance numbers (BENCH_batch_simd.json) at the compression
-    // sweep's canonical shape — 64 problems, 256x32 panels / 32x256
-    // truncation problems (benched via their 256x32 tall transposes, which
-    // is what the driver feeds the sweep).
+    // Across-batch SIMD kernels vs the per-problem scalar tails, one
+    // thread, on 64 problems of 256x32.
     bench::JsonArrayWriter il_out("BENCH_batch_simd.json");
     bench::emit_blocking_records(il_out);
     std::printf("== across-batch SIMD stages vs per-problem tails "
@@ -594,29 +475,18 @@ int main(int argc, char** argv) {
     std::printf("wrote BENCH_batch_simd.json\n");
     return 0;
   }
-  // Both flags together mean "run both engine sections, skip the rest".
-  if (!svd_only || qr_only) {
-    bench::JsonArrayWriter qr_out("BENCH_qr_batched.json");
-    bench::emit_blocking_records(qr_out);
-    std::printf("== batched QR engine vs per-block tail (%d threads) ==\n",
-                max_threads());
-    // The acceptance shape of the compression sweep: 64 sketches of 256x32.
-    bench_qr(64, 256, 32, args.repeats, qr_out);
-    bench_qr(256, 128, 16, args.repeats, qr_out);
-    std::printf("wrote BENCH_qr_batched.json\n");
-  }
-  if (!qr_only || svd_only) {
+  {
     bench::JsonArrayWriter svd_out("BENCH_svd_batched.json");
     bench::emit_blocking_records(svd_out);
     std::printf("== batched SVD engine vs per-block tail (%d threads) ==\n",
                 max_threads());
-    // The truncation tail of the acceptance shape: 64 small problems of
-    // 32x256 plus their 256x32 range bases.
+    // 64 small problems of 32x256 plus their 256x32 bases, and a second,
+    // smaller shape.
     bench_svd(64, 32, 256, 256, args.repeats, svd_out);
     bench_svd(256, 16, 128, 128, args.repeats, svd_out);
     std::printf("wrote BENCH_svd_batched.json\n");
   }
-  if (qr_only || svd_only) return 0;
+  if (svd_only) return 0;
   index_t small = 24, big = 512, lu_s = 64;
   if (args.max_n > 0) {
     big = std::min(big, args.max_n);

@@ -23,12 +23,8 @@ namespace hodlrx {
 
 namespace batch_simd_stats {
 namespace {
-std::atomic<std::uint64_t> g_qr_groups{0}, g_jacobi_groups{0},
-    g_gemm_groups{0};
+std::atomic<std::uint64_t> g_jacobi_groups{0}, g_gemm_groups{0};
 }  // namespace
-std::uint64_t qr_panel_groups() {
-  return g_qr_groups.load(std::memory_order_relaxed);
-}
 std::uint64_t jacobi_sweep_groups() {
   return g_jacobi_groups.load(std::memory_order_relaxed);
 }
@@ -36,14 +32,10 @@ std::uint64_t gemm_groups() {
   return g_gemm_groups.load(std::memory_order_relaxed);
 }
 void reset() {
-  g_qr_groups.store(0, std::memory_order_relaxed);
   g_jacobi_groups.store(0, std::memory_order_relaxed);
   g_gemm_groups.store(0, std::memory_order_relaxed);
 }
 namespace detail {
-void add_qr_groups(std::uint64_t n) {
-  g_qr_groups.fetch_add(n, std::memory_order_relaxed);
-}
 void add_jacobi_groups(std::uint64_t n) {
   g_jacobi_groups.fetch_add(n, std::memory_order_relaxed);
 }
@@ -60,65 +52,6 @@ namespace {
 /// two vector ops. The i/j loops carry the per-lane accumulations in the
 /// same order as the scalar kernels (lapack.cpp), so each lane reproduces
 /// the scalar arithmetic exactly.
-
-template <typename T, int W>
-void geqrf_panel_batch_impl(index_t m, index_t n, T* __restrict__ a,
-                            T* __restrict__ tau) {
-  using R = real_t<T>;
-  const index_t kmax = std::min(m, n);
-  for (index_t k = 0; k < kmax; ++k) {
-    // Column k, rows k..m: the make_householder step. The reduction and the
-    // reflector scaling are full-width; the branchy parameter math in
-    // between is O(W) scalar work per column. Skipping lanes fold into the
-    // vector ops as exact no-ops: scale 1 for the column scaling, tau 0 for
-    // the trailing update.
-    T* __restrict__ colk = a + (static_cast<std::size_t>(k) * m + k) * W;
-    R sums[W] = {};
-    for (index_t i = 1; i < m - k; ++i) {
-      const T* __restrict__ xi = colk + static_cast<std::size_t>(i) * W;
-      for (int l = 0; l < W; ++l) sums[l] += abs2_s(xi[l]);
-    }
-    T taus[W], scales[W];
-    for (int l = 0; l < W; ++l) {
-      taus[l] = T{};
-      scales[l] = T{1};
-      if (m - k <= 1) continue;
-      const HouseholderParams<T> p =
-          householder_params<T>(colk[l], std::sqrt(sums[l]));
-      taus[l] = p.tau;
-      scales[l] = p.scale;
-      if (p.apply) colk[l] = p.beta;
-    }
-    for (index_t i = 1; i < m - k; ++i) {
-      T* __restrict__ xi = colk + static_cast<std::size_t>(i) * W;
-      for (int l = 0; l < W; ++l) xi[l] *= scales[l];
-    }
-    T taucs[W];
-    for (int l = 0; l < W; ++l) {
-      tau[k * W + l] = taus[l];
-      taucs[l] = conj_s(taus[l]);  // geqrf applies H with conj(tau)
-    }
-    // Trailing update: C(k:m, j) -= v * (conj(tau) * (v^H C(k:m, j))) for
-    // every j > k, v[0] = 1 implied (apply_householder, all lanes at once).
-    for (index_t j = k + 1; j < n; ++j) {
-      T* __restrict__ cj = a + (static_cast<std::size_t>(j) * m + k) * W;
-      T wv[W];
-      for (int l = 0; l < W; ++l) wv[l] = cj[l];
-      for (index_t i = 1; i < m - k; ++i) {
-        const T* __restrict__ vi = colk + static_cast<std::size_t>(i) * W;
-        const T* __restrict__ ci = cj + static_cast<std::size_t>(i) * W;
-        for (int l = 0; l < W; ++l) wv[l] += conj_s(vi[l]) * ci[l];
-      }
-      for (int l = 0; l < W; ++l) wv[l] *= taucs[l];
-      for (int l = 0; l < W; ++l) cj[l] -= wv[l];
-      for (index_t i = 1; i < m - k; ++i) {
-        const T* __restrict__ vi = colk + static_cast<std::size_t>(i) * W;
-        T* __restrict__ ci = cj + static_cast<std::size_t>(i) * W;
-        for (int l = 0; l < W; ++l) ci[l] -= vi[l] * wv[l];
-      }
-    }
-  }
-}
 
 template <typename T, int W>
 void jacobi_sweep_batch_impl(index_t n, T* __restrict__ gm, T* __restrict__ rm,
@@ -338,17 +271,6 @@ void gemm_right_inplace(index_t m, index_t n, T* a, index_t lda, const T* r,
 }
 
 template <typename T>
-void geqrf_panel_batch(index_t m, index_t n, T* a, T* tau, index_t w) {
-  switch (w) {
-    case 2: return geqrf_panel_batch_impl<T, 2>(m, n, a, tau);
-    case 4: return geqrf_panel_batch_impl<T, 4>(m, n, a, tau);
-    case 8: return geqrf_panel_batch_impl<T, 8>(m, n, a, tau);
-    case 16: return geqrf_panel_batch_impl<T, 16>(m, n, a, tau);
-  }
-  HODLRX_REQUIRE(false, "geqrf_panel_batch: unsupported lane width " << w);
-}
-
-template <typename T>
 void jacobi_sweep_batch(index_t n, T* gm, T* rm, real_t<T> tol, index_t w,
                         bool* rotated) {
   switch (w) {
@@ -373,7 +295,6 @@ void small_gemm_batch(index_t m, index_t n, index_t k, const T* a, const T* b,
 }
 
 #define HODLRX_INSTANTIATE_BATCH_KERNELS(T)                                  \
-  template void geqrf_panel_batch<T>(index_t, index_t, T*, T*, index_t);     \
   template void jacobi_sweep_batch<T>(index_t, T*, T*, real_t<T>, index_t,   \
                                       bool*);                                \
   template void small_gemm_batch<T>(index_t, index_t, index_t, const T*,     \

@@ -8,34 +8,25 @@
 /// \file batch_kernels.hpp
 /// Across-batch SIMD kernels over the lane-major layout (interleave.hpp):
 /// the vector lanes of one register hold the SAME element of `w` DIFFERENT
-/// problems, so the scalar tails of the batched drivers — the Householder
-/// panel inside geqrf_strided_batched, the rotation scan inside
-/// jacobi_svd_strided_batched, and sub-register-tile GEMMs — run as
+/// problems, so the scalar tails of the batched drivers — the rotation scan
+/// inside jacobi_svd_strided_batched and sub-register-tile GEMMs — run as
 /// full-width vector arithmetic instead of per-problem scalar loops.
 ///
 /// Each kernel is compiled once per supported width (2, 4, 8, 16 — powers of
 /// two up to a 64-byte register of floats) with the width as a template
 /// constant, so the per-element lane loops fully unroll and vectorize; the
 /// public entry points dispatch on the runtime width from
-/// resolved_blocking<T>().batch_simd_width. Per-lane CONTROL decisions
-/// (Householder early-outs, the Jacobi pair-convergence test) stay scalar —
-/// they are O(w) per column/pair — and are folded back into the vector
-/// arithmetic as exact no-op multipliers (scale 1, tau 0, identity
-/// rotation), so each lane performs the same operations in the same order as
-/// the scalar reference kernel in lapack.cpp.
+/// resolved_blocking<T>().batch_simd_width. Per-lane CONTROL decisions (the
+/// Jacobi pair-convergence test) stay scalar — they are O(w) per pair — and
+/// are folded back into the vector arithmetic as identity rotations, so each
+/// lane performs the same operations in the same order as the scalar
+/// reference kernel in lapack.cpp.
 ///
 /// Zero-filled dead lanes (partial last group) are benign everywhere: a zero
-/// Householder column early-outs, a zero Gram matrix never passes the pair
-/// test, and a zero GEMM lane computes zeros that are never scattered back.
+/// Gram matrix never passes the pair test, and a zero GEMM lane computes
+/// zeros that are never scattered back.
 
 namespace hodlrx {
-
-/// Lane-major unblocked Householder QR: the panel (m x n, lane-major, `w`
-/// problems) is factored exactly like geqrf_panel — R in the upper triangle,
-/// reflectors below, tau lane-major at tau[k * w + lane]. Dead (zero) lanes
-/// produce tau = 0.
-template <typename T>
-void geqrf_panel_batch(index_t m, index_t n, T* a, T* tau, index_t w);
 
 /// Lane-major cyclic one-sided Jacobi sweep over the Gram matrix only:
 /// mirrors jacobi_sweep_gram's pair scan over `w` problems at once, but in
@@ -86,15 +77,12 @@ void gemm_right_inplace(index_t m, index_t n, T* a, index_t lda, const T* r,
 /// resolved width is > 1, and that HODLRX_BATCH_SIMD=1 keeps every one of
 /// them at zero (the bit-for-bit scalar fallback).
 namespace batch_simd_stats {
-/// Lane-group tasks executed by the across-batch QR panel path.
-std::uint64_t qr_panel_groups();
 /// Lane-group tasks executed by the across-batch Jacobi sweep path.
 std::uint64_t jacobi_sweep_groups();
 /// Lane-group tasks executed by the across-batch small-GEMM path.
 std::uint64_t gemm_groups();
 void reset();
 namespace detail {  // increment hooks for the batched drivers
-void add_qr_groups(std::uint64_t n);
 void add_jacobi_groups(std::uint64_t n);
 void add_gemm_groups(std::uint64_t n);
 }  // namespace detail

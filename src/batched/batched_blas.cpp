@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/flops.hpp"
-#include "common/gemm_kernel.hpp"
 #include "common/parallel.hpp"
 #include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
@@ -105,37 +104,6 @@ void gemm_strided_batched(Op opa, Op opb, index_t m, index_t n, index_t k,
   DeviceContext::global().record_launch();
   const index_t ar = (opa == Op::N) ? m : k, ac = (opa == Op::N) ? k : m;
   const index_t br = (opb == Op::N) ? k : n, bc = (opb == Op::N) ? n : k;
-  // Shared-operand fast path: a zero stride means every problem in the batch
-  // reads the same operand (the paper's constant-rank padding makes this the
-  // dominant shape). Pack that operand ONCE per launch and let every problem
-  // multiply against the shared pack; only the per-problem operand is packed
-  // per problem (into thread-local workspace).
-  if (policy == BatchPolicy::kAuto && batch > 1 && k > 0 &&
-      (stride_a == 0) != (stride_b == 0) &&
-      use_packed_gemm(opa, opb, m, n, k)) {
-    if (stride_b == 0) {
-      const PackedMatrix<T> bp =
-          pack_b_full<T>(opb, ConstMatrixView<T>(b, br, bc, ldb));
-      parallel_for_static(batch, [&](index_t i) {
-        ConstMatrixView<T> ai(a + i * stride_a, ar, ac, lda);
-        MatrixView<T> ci{c + i * stride_c, m, n, ldc};
-        gemm_prepacked_b<T>(opa, alpha, ai, bp, beta, ci);
-      });
-    } else {
-      const PackedMatrix<T> ap =
-          pack_a_full<T>(opa, ConstMatrixView<T>(a, ar, ac, lda));
-      parallel_for_static(batch, [&](index_t i) {
-        ConstMatrixView<T> bi(b + i * stride_b, br, bc, ldb);
-        MatrixView<T> ci{c + i * stride_c, m, n, ldc};
-        gemm_prepacked_a<T>(ap, alpha, opb, bi, beta, ci);
-      });
-    }
-    FlopCounter::instance().add(
-        FlopCounter::kGemm,
-        static_cast<std::uint64_t>(batch) *
-            FlopCounter::gemm_flops<T>(m, n, k));
-    return;
-  }
   // Across-batch small-GEMM tail: problems at or below one register tile
   // (m <= MR, n <= NR) never fill the packed engine's micro-kernel and run
   // as scalar naive loops per problem. Interleave lane groups of W problems
@@ -313,255 +281,18 @@ void getrs_nopivot_batched(std::span<const ConstMatrixView<T>> lu,
 
 namespace qr_stats {
 namespace {
-std::atomic<std::uint64_t> g_geqrf_sweeps{0}, g_thin_q_sweeps{0},
-    g_panel_launches{0}, g_cholesky_fallbacks{0};
+std::atomic<std::uint64_t> g_cholesky_fallbacks{0};
 }  // namespace
-std::uint64_t geqrf_batched_sweeps() {
-  return g_geqrf_sweeps.load(std::memory_order_relaxed);
-}
-std::uint64_t thin_q_batched_sweeps() {
-  return g_thin_q_sweeps.load(std::memory_order_relaxed);
-}
-std::uint64_t panel_launches() {
-  return g_panel_launches.load(std::memory_order_relaxed);
-}
 std::uint64_t cholesky_fallbacks() {
   return g_cholesky_fallbacks.load(std::memory_order_relaxed);
 }
-void reset() {
-  g_geqrf_sweeps.store(0, std::memory_order_relaxed);
-  g_thin_q_sweeps.store(0, std::memory_order_relaxed);
-  g_panel_launches.store(0, std::memory_order_relaxed);
-  g_cholesky_fallbacks.store(0, std::memory_order_relaxed);
-}
+void reset() { g_cholesky_fallbacks.store(0, std::memory_order_relaxed); }
 namespace detail {
 void add_cholesky_fallbacks(std::uint64_t n) {
   g_cholesky_fallbacks.fetch_add(n, std::memory_order_relaxed);
 }
 }  // namespace detail
 }  // namespace qr_stats
-
-namespace {
-
-/// Per-launch scratch of the batched QR engine: every problem's explicit
-/// reflector panel V, compact-WY T factor, and the two trailing-update
-/// intermediates, at uniform strides so the updates can run as strided
-/// GEMM launches. Carved out of the calling thread's workspace arena
-/// (grow-only, so steady-state sweeps — e.g. the 5 QR rounds of one
-/// power-iterated rsvd — allocate nothing), registered as device memory for
-/// the accounting. Pool workers WRITE disjoint per-problem slices during
-/// the panel launch (synchronized by the parallel_for join) and the strided
-/// trailing updates then read them; nothing else inside the launch touches
-/// the owner's kScratch slot (the internal GEMMs use kPackA/kPackB), so the
-/// buffer stays intact for the whole sweep.
-template <typename T>
-struct QrBatchWorkspace {
-  QrBatchWorkspace(index_t m, index_t n, index_t nb, index_t batch)
-      : v_stride(m * nb), t_stride(nb * nb), w_stride(nb * n) {
-    const std::size_t count = static_cast<std::size_t>(batch) *
-                              (v_stride + t_stride + 2 * w_stride);
-    v = WorkspaceArena::local().get<T>(count, WorkspaceArena::kScratch);
-    t = v + batch * v_stride;
-    w = t + batch * t_stride;
-    w2 = w + batch * w_stride;
-    da = DeviceAllocation(count * sizeof(T));
-  }
-  index_t v_stride, t_stride, w_stride;
-  DeviceAllocation da;
-  T* v;
-  T* t;
-  T* w;
-  T* w2;
-};
-
-/// One cross-batch panel step of the batched QR drivers: the three
-/// strided-batched trailing-update GEMMs of the compact-WY reflector,
-///   W = V^H C;  W2 = op(T) W;  C -= V W2
-/// with op = T^H when factoring (applying Q^H) and op = T when forming Q.
-template <typename T>
-void batched_block_reflector(const QrBatchWorkspace<T>& ws, index_t ib,
-                             index_t mr, index_t nc, bool adjoint, T* c,
-                             index_t ldc, index_t stride_c, index_t batch) {
-  gemm_strided_batched<T>(Op::C, Op::N, ib, nc, mr, T{1}, ws.v, mr,
-                          ws.v_stride, c, ldc, stride_c, T{0}, ws.w, ib,
-                          ws.w_stride, batch);
-  gemm_strided_batched<T>(adjoint ? Op::C : Op::N, Op::N, ib, nc, ib, T{1},
-                          ws.t, ib, ws.t_stride, ws.w, ib, ws.w_stride, T{0},
-                          ws.w2, ib, ws.w_stride, batch);
-  gemm_strided_batched<T>(Op::N, Op::N, mr, nc, ib, T{-1}, ws.v, mr,
-                          ws.v_stride, ws.w2, ib, ws.w_stride, T{1}, c, ldc,
-                          stride_c, batch);
-}
-
-/// kOther remainder of one problem's QR after its internal GEMMs (Gram +
-/// three trailing multiplies per panel) booked themselves under kGemm; the
-/// internal part comes from the shared panel-loop mirror in lapack.hpp.
-/// `ntotal` is n for geqrf and min(m,n) for thin_q.
-template <typename T>
-void add_batched_qr_flops(index_t m, index_t kmax, index_t ntotal, index_t nb,
-                          index_t batch) {
-  const std::uint64_t internal =
-      blocked_qr_internal_flops<T>(m, kmax, ntotal, nb);
-  const std::uint64_t total = (is_complex_v<T> ? 4ull : 1ull) * 2ull *
-                              static_cast<std::uint64_t>(m) *
-                              static_cast<std::uint64_t>(ntotal) *
-                              static_cast<std::uint64_t>(kmax);
-  if (total > internal)
-    FlopCounter::instance().add(FlopCounter::kOther,
-                                static_cast<std::uint64_t>(batch) *
-                                    (total - internal));
-}
-
-}  // namespace
-
-template <typename T>
-void geqrf_strided_batched(T* a, index_t lda, index_t stride_a, index_t m,
-                           index_t n, T* tau, index_t stride_tau,
-                           index_t batch, BatchPolicy policy) {
-  const index_t kmax = std::min(m, n);
-  if (batch == 0 || kmax == 0) return;
-  HODLRX_REQUIRE(lda >= m && stride_tau >= kmax &&
-                     (batch == 1 || stride_a > 0),
-                 "geqrf_strided_batched: bad layout");
-  if (Stream* strm = deferring_stream()) {
-    strm->launch("geqrf_strided_batched", [=] {
-      geqrf_strided_batched<T>(a, lda, stride_a, m, n, tau, stride_tau, batch,
-                               policy);
-    });
-    return;
-  }
-  DeviceContext::global().record_launch();
-  const index_t work = 2 * m * n * kmax;
-  if (use_stream_mode(policy, batch, batch * work)) {
-    // Few large problems: sequential blocked QRs, each block reflector's
-    // trailing multiply using the whole pool (mirrors getrf_parallel).
-    for (index_t i = 0; i < batch; ++i)
-      geqrf_inplace_parallel<T>(MatrixView<T>{a + i * stride_a, m, n, lda},
-                                tau + i * stride_tau);
-    return;
-  }
-  qr_stats::g_geqrf_sweeps.fetch_add(1, std::memory_order_relaxed);
-  const index_t nb = resolved_blocking<T>().qr_nb;
-  const index_t lanes = batch_lanes<T>(batch);
-  QrBatchWorkspace<T> ws(m, n, nb, batch);
-  for (index_t k = 0; k < kmax; k += nb) {
-    const index_t ib = std::min(nb, kmax - k);
-    const index_t mr = m - k;
-    const index_t nc = n - k - ib;
-    // Panel launch: factor panel k of EVERY problem and stage its reflector
-    // block (explicit V, compact-WY T) for the strided trailing updates.
-    qr_stats::g_panel_launches.fetch_add(1, std::memory_order_relaxed);
-    DeviceContext::global().record_launch();
-    auto stage_reflectors = [&](index_t i) {
-      MatrixView<T> ai{a + i * stride_a, m, n, lda};
-      MatrixView<T> panel = ai.block(k, k, mr, ib);
-      MatrixView<T> vi{ws.v + i * ws.v_stride, mr, ib, mr};
-      copy_reflectors<T>(ConstMatrixView<T>(panel), vi);
-      larft_forward<T>(vi, tau + i * stride_tau + k,
-                       MatrixView<T>{ws.t + i * ws.t_stride, ib, ib, ib});
-    };
-    if (lanes > 1) {
-      // Across-batch panel: each lane group gathers `lanes` problems'
-      // panels into the lane-major layout and factors them as ONE SIMD QR
-      // (geqrf_panel_batch); the compact-WY staging stays per lane, feeding
-      // the same strided trailing GEMMs. Same launch and counter shape as
-      // the per-problem path — only the task granularity changes.
-      const index_t ngroups = (batch + lanes - 1) / lanes;
-      batch_simd_stats::detail::add_qr_groups(
-          static_cast<std::uint64_t>(ngroups));
-      parallel_for_static(ngroups, [&](index_t gi) {
-        const index_t i0 = gi * lanes;
-        const index_t nl = std::min(lanes, batch - i0);
-        T* buf = interleave_workspace<T>(
-            static_cast<std::size_t>(mr * ib + ib) * lanes);
-        T* panel_il = buf;
-        T* tau_il = buf + static_cast<std::size_t>(mr) * ib * lanes;
-        T* ptrs[kMaxBatchLanes];
-        for (index_t l = 0; l < nl; ++l)
-          ptrs[l] = a + (i0 + l) * stride_a + k + k * lda;
-        batch_interleave<T>(mr, ib, ptrs, lda, nl, lanes, panel_il);
-        geqrf_panel_batch<T>(mr, ib, panel_il, tau_il, lanes);
-        batch_deinterleave<T>(mr, ib, panel_il, lanes, nl, ptrs, lda);
-        for (index_t l = 0; l < nl; ++l) {
-          T* ti = tau + (i0 + l) * stride_tau + k;
-          for (index_t jj = 0; jj < ib; ++jj)
-            ti[jj] = tau_il[jj * lanes + l];
-        }
-        if (nc > 0)
-          for (index_t l = 0; l < nl; ++l) stage_reflectors(i0 + l);
-      });
-    } else {
-      parallel_for_static(batch, [&](index_t i) {
-        MatrixView<T> ai{a + i * stride_a, m, n, lda};
-        MatrixView<T> panel = ai.block(k, k, mr, ib);
-        geqrf_panel<T>(panel, tau + i * stride_tau + k);
-        if (nc > 0) stage_reflectors(i);
-      });
-    }
-    if (nc > 0)
-      batched_block_reflector<T>(ws, ib, mr, nc, /*adjoint=*/true,
-                                 a + k + (k + ib) * lda, lda, stride_a,
-                                 batch);
-  }
-  add_batched_qr_flops<T>(m, kmax, n, nb, batch);
-}
-
-template <typename T>
-void thin_q_strided_batched(T* a, index_t lda, index_t stride_a, index_t m,
-                            index_t n, const T* tau, index_t stride_tau,
-                            index_t batch, BatchPolicy policy) {
-  const index_t kq = std::min(m, n);
-  if (batch == 0 || kq == 0) return;
-  HODLRX_REQUIRE(lda >= m && stride_tau >= kq &&
-                     (batch == 1 || stride_a > 0),
-                 "thin_q_strided_batched: bad layout");
-  if (Stream* strm = deferring_stream()) {
-    strm->launch("thin_q_strided_batched", [=] {
-      thin_q_strided_batched<T>(a, lda, stride_a, m, n, tau, stride_tau,
-                                batch, policy);
-    });
-    return;
-  }
-  DeviceContext::global().record_launch();
-  const index_t work = 2 * m * kq * kq;
-  if (use_stream_mode(policy, batch, batch * work)) {
-    for (index_t i = 0; i < batch; ++i)
-      thin_q_inplace_parallel<T>(MatrixView<T>{a + i * stride_a, m, kq, lda},
-                                 tau + i * stride_tau);
-    return;
-  }
-  qr_stats::g_thin_q_sweeps.fetch_add(1, std::memory_order_relaxed);
-  const index_t nb = resolved_blocking<T>().qr_nb;
-  QrBatchWorkspace<T> ws(m, kq, nb, batch);
-  for (index_t kk = ((kq - 1) / nb) * nb; kk >= 0; kk -= nb) {
-    const index_t ib = std::min(nb, kq - kk);
-    const index_t mr = m - kk;
-    const index_t nc = kq - kk - ib;
-    // Panel launch: stage the block reflector of panel kk, then overwrite
-    // the panel with its own Q columns (org2r) — the staged copies, not the
-    // panel, feed the strided trailing updates below.
-    qr_stats::g_panel_launches.fetch_add(1, std::memory_order_relaxed);
-    DeviceContext::global().record_launch();
-    parallel_for_static(batch, [&](index_t i) {
-      MatrixView<T> ai{a + i * stride_a, m, kq, lda};
-      MatrixView<T> panel = ai.block(kk, kk, mr, ib);
-      if (nc > 0) {
-        MatrixView<T> vi{ws.v + i * ws.v_stride, mr, ib, mr};
-        copy_reflectors<T>(ConstMatrixView<T>(panel), vi);
-        larft_forward<T>(vi, tau + i * stride_tau + kk,
-                         MatrixView<T>{ws.t + i * ws.t_stride, ib, ib, ib});
-      }
-      thin_q_panel<T>(panel, tau + i * stride_tau + kk);
-      for (index_t j = 0; j < ib; ++j)
-        std::fill_n(ai.data + (kk + j) * lda, kk, T{});
-    });
-    if (nc > 0)
-      batched_block_reflector<T>(ws, ib, mr, nc, /*adjoint=*/false,
-                                 a + kk + (kk + ib) * lda, lda, stride_a,
-                                 batch);
-  }
-  add_batched_qr_flops<T>(m, kq, kq, nb, batch);
-}
 
 template <typename T>
 SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
@@ -589,8 +320,9 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
   // converge and the recovery re-run below must carry it.
   if (fault::should_fire(fault::Site::kSvdSweeps)) max_sweeps = 1;
   // Per-launch Gram workspace (n x n per problem) carved from the calling
-  // thread's arena and registered as device memory, like QrBatchWorkspace.
-  // Only the sweep launches below touch it; it is dead by finalize time.
+  // thread's arena (kScratch slot; the internal GEMMs use the pack slots)
+  // and registered as device memory. Only the sweep launches below touch
+  // it; it is dead by finalize time.
   // When the across-batch sweep can engage (batch_lanes > 1 for the full
   // batch), the same carve also holds the accumulated-rotation scratch: one
   // n x n R per problem. One get() call — a second get() on the same slot
@@ -800,12 +532,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
   template void getrs_nopivot_batched<T>(std::span<const ConstMatrixView<T>>,\
                                          std::span<const MatrixView<T>>,     \
                                          BatchPolicy);                       \
-  template void geqrf_strided_batched<T>(T*, index_t, index_t, index_t,      \
-                                         index_t, T*, index_t, index_t,      \
-                                         BatchPolicy);                       \
-  template void thin_q_strided_batched<T>(T*, index_t, index_t, index_t,     \
-                                          index_t, const T*, index_t,        \
-                                          index_t, BatchPolicy);             \
   template SvdBatchInfo jacobi_svd_strided_batched<T>(                       \
       T*, index_t, index_t, index_t, index_t, real_t<T>*, index_t, T*,       \
       index_t, index_t, index_t, bool);

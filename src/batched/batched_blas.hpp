@@ -42,13 +42,7 @@ void gemm_batched(Op opa, Op opb, T alpha,
 
 /// Uniform-shape strided batch: problem i uses a + i*stride_a etc.
 /// This is the fast path enabled by the paper's constant-rank padding.
-/// A zero stride marks an operand shared by the whole batch (as in cuBLAS);
-/// under BatchPolicy::kAuto the shared operand is packed ONCE per launch and
-/// reused by every problem (see gemm_kernel.hpp). The production caller is
-/// the batched randomized-compression sweep (`rsvd_strided_batched` in
-/// lowrank/rsvd.cpp, driven by HodlrMatrix::build_from_dense with
-/// Compressor::kRsvdBatched): every block of a uniform tree level multiplies
-/// ONE shared Gaussian test matrix, passed here with stride_b == 0.
+/// A zero stride marks an operand shared by the whole batch (as in cuBLAS).
 template <typename T>
 void gemm_strided_batched(Op opa, Op opb, index_t m, index_t n, index_t k,
                           T alpha, const T* a, index_t lda, index_t stride_a,
@@ -93,18 +87,8 @@ void getrs_nopivot_batched(std::span<const ConstMatrixView<T>> lu,
                            std::span<const MatrixView<T>> b,
                            BatchPolicy policy = BatchPolicy::kAuto);
 
-/// Launch counters of the batched QR engine (relaxed atomics, process-wide).
-/// Tests use these to assert that the compression sweep's orthonormalization
-/// tail actually runs as synchronized batched launches rather than as
-/// independent per-block pool tasks.
+/// QR counters (relaxed atomics, process-wide).
 namespace qr_stats {
-/// geqrf_strided_batched calls that took the panel-synchronized batched path.
-std::uint64_t geqrf_batched_sweeps();
-/// thin_q_strided_batched calls that took the batched path.
-std::uint64_t thin_q_batched_sweeps();
-/// Cross-batch panel launches (one pool dispatch factoring / forming the
-/// same panel index of EVERY problem).
-std::uint64_t panel_launches();
 /// Low-rank blocks whose Gram/Cholesky recompression broke down (a factor
 /// with numerically dependent columns) and fell back to Householder QR
 /// (lowrank/recompress.hpp).
@@ -113,37 +97,13 @@ void reset();
 namespace detail {  // increment hook for the recompression drivers
 void add_cholesky_fallbacks(std::uint64_t n);
 }  // namespace detail
+/// Constant 0: the batched QR engine these counted is gone. Only
+/// pipebench/pipeline.cpp reads them; the next change to the benchmark
+/// drops those reads, and these with them.
+inline std::uint64_t geqrf_batched_sweeps() { return 0; }
+inline std::uint64_t thin_q_batched_sweeps() { return 0; }
+inline std::uint64_t panel_launches() { return 0; }
 }  // namespace qr_stats
-
-/// Batched in-place Householder QR of `batch` uniform m x n problems at a
-/// constant stride (problem i starts at a + i*stride_a, leading dimension
-/// lda) — the stand-in for cuSOLVER's `geqrfBatched`. On return each problem
-/// holds R in its upper triangle and the reflectors below; the min(m,n)
-/// Householder scalars of problem i land at tau + i*stride_tau
-/// (stride_tau >= min(m,n)).
-///
-/// Batched mode runs the blocked algorithm LEVEL-SYNCHRONIZED across the
-/// whole batch: one pool launch factors panel k of every problem (and builds
-/// its compact-WY T factor), then the trailing updates of ALL problems run
-/// as three strided-batched GEMM launches through the packed engine. Stream
-/// mode (few large problems) runs the problems sequentially through the
-/// blocked single-problem driver.
-template <typename T>
-void geqrf_strided_batched(T* a, index_t lda, index_t stride_a, index_t m,
-                           index_t n, T* tau, index_t stride_tau,
-                           index_t batch,
-                           BatchPolicy policy = BatchPolicy::kAuto);
-
-/// Overwrite the first min(m,n) columns of every problem (geqrf_strided_-
-/// batched output) with the explicit thin Q — the stand-in for a batched
-/// `orgqr`. Batched mode applies the compact-WY block reflectors
-/// back-to-front, each as one panel launch plus three strided-batched GEMM
-/// launches, so the whole batch is orthonormalized in O(n/nb) launches.
-template <typename T>
-void thin_q_strided_batched(T* a, index_t lda, index_t stride_a, index_t m,
-                            index_t n, const T* tau, index_t stride_tau,
-                            index_t batch,
-                            BatchPolicy policy = BatchPolicy::kAuto);
 
 /// Result of one batched Jacobi run: sweeps executed (shared across the
 /// batch — the drivers are sweep-synchronized) and the number of problems
@@ -163,17 +123,17 @@ struct SvdBatchInfo {
 /// at s + i*stride_s (stride_s >= n) and the right singular vectors V_i
 /// (n x n) at v + i*stride_v (ldv >= n), so A_i = U_i diag(s_i) V_i^H.
 ///
-/// The driver is SWEEP-synchronized (the model of the batched QR engine):
-/// each cyclic Jacobi sweep is (a) ONE batched GEMM launch refreshing the
-/// Gram matrices G_i = W_i^H W_i of the still-active problems in a
-/// per-launch strided workspace and (b) ONE pool launch applying the cyclic
-/// column-pair rotations of those problems (jacobi_sweep_gram). Converged
+/// The driver is SWEEP-synchronized: each cyclic Jacobi sweep is (a) ONE
+/// batched GEMM launch refreshing the Gram matrices G_i = W_i^H W_i of the
+/// still-active problems in a per-launch strided workspace and (b) ONE pool
+/// launch applying the cyclic column-pair rotations of those problems
+/// (jacobi_sweep_gram). Converged
 /// problems are compacted out of the active set, and the loop exits early
 /// once the whole batch has converged. A final pool launch sorts and
 /// normalizes every problem. Every batch takes this path, whatever its size,
 /// so the bits never depend on the pool size.
 ///
-/// With `recover = true` (the recovery ladder; rsvd_strided_batched under
+/// With `recover = true` (the recovery ladder; recompress_batched under
 /// OnBreakdown::kRecover passes it) problems that exhaust the synchronized
 /// sweep budget are compacted out and re-run one by one through the
 /// reference serial sweep loop with a 4x budget BEFORE the finalize pass;

@@ -6,10 +6,11 @@
 /// Deterministic numerical-fault injection and the breakdown policy knob.
 ///
 /// Every recovery path in the library (the "recovery ladder": ACA stall ->
-/// batched rsvd retry, batched-SVD sweep exhaustion -> serial re-run with a
-/// larger budget, zero pivot in getrf_nopivot -> pivoted refactor, workspace
-/// growth failure -> drop-and-retry) guards a numerical event that healthy
-/// inputs never trigger. This registry makes those events reproducible:
+/// rsvd retry of the materialized block, sweep exhaustion in the batched
+/// recompression SVD -> serial re-run with a larger budget, zero pivot in
+/// getrf_nopivot -> pivoted refactor, workspace growth failure ->
+/// drop-and-retry) guards a numerical event that healthy inputs never
+/// trigger. This registry makes those events reproducible:
 /// `HODLRX_FAULT=site[:nth]` (comma-separated) arms a named injection site,
 /// and the site fires on exactly the nth occurrence check (default: the
 /// first). The environment is reread on every check — the same convention as

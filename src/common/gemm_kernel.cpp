@@ -14,22 +14,17 @@ namespace hodlrx {
 namespace gemm_stats {
 
 namespace {
-std::atomic<std::uint64_t> g_a_packs{0}, g_b_packs{0}, g_shared_packs{0},
-    g_pool_packs{0};
+std::atomic<std::uint64_t> g_a_packs{0}, g_b_packs{0}, g_pool_packs{0};
 }  // namespace
 
 std::uint64_t a_packs() { return g_a_packs.load(std::memory_order_relaxed); }
 std::uint64_t b_packs() { return g_b_packs.load(std::memory_order_relaxed); }
-std::uint64_t shared_packs() {
-  return g_shared_packs.load(std::memory_order_relaxed);
-}
 std::uint64_t pool_packs() {
   return g_pool_packs.load(std::memory_order_relaxed);
 }
 void reset() {
   g_a_packs.store(0, std::memory_order_relaxed);
   g_b_packs.store(0, std::memory_order_relaxed);
-  g_shared_packs.store(0, std::memory_order_relaxed);
   g_pool_packs.store(0, std::memory_order_relaxed);
 }
 
@@ -290,7 +285,6 @@ void pack_a_full_into(Op opa, ConstMatrixView<T> a, PackedMatrix<T>& p) {
   const GemmKernels<T>& kern = gemm_kernels<T>();
   const index_t MR = kern.mr;
   const index_t MC = blk.mc, KC = blk.kc;
-  p.kind_ = PackedMatrix<T>::Kind::kA;
   p.rows_ = op_rows(opa, a);
   p.cols_ = op_cols(opa, a);
   p.grid_rows_ = ceil_div(p.rows_, MC);
@@ -320,58 +314,12 @@ void pack_a_full_into(Op opa, ConstMatrixView<T> a, PackedMatrix<T>& p) {
 }
 
 template <typename T>
-PackedMatrix<T> pack_a_full(Op opa, ConstMatrixView<T> a) {
-  PackedMatrix<T> p;
-  pack_a_full_into(opa, a, p);
-  gemm_stats::g_shared_packs.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-
-template <typename T>
-PackedMatrix<T> pack_b_full(Op opb, ConstMatrixView<T> b) {
-  const ResolvedBlocking& blk = resolved_blocking<T>();
-  const GemmKernels<T>& kern = gemm_kernels<T>();
-  const index_t NR = kern.nr;
-  const index_t KC = blk.kc, NC = blk.nc;
-  PackedMatrix<T> p;
-  p.kind_ = PackedMatrix<T>::Kind::kB;
-  p.rows_ = op_rows(opb, b);
-  p.cols_ = op_cols(opb, b);
-  p.grid_rows_ = ceil_div(p.rows_, KC);
-  p.grid_cols_ = ceil_div(p.cols_, NC);
-  if (p.empty()) return p;
-  p.offsets_.resize(static_cast<std::size_t>(p.grid_rows_ * p.grid_cols_));
-  index_t total = 0;
-  for (index_t pt = 0; pt < p.grid_rows_; ++pt) {
-    const index_t kc = std::min(KC, p.rows_ - pt * KC);
-    for (index_t jt = 0; jt < p.grid_cols_; ++jt) {
-      const index_t nc = std::min(NC, p.cols_ - jt * NC);
-      p.offsets_[pt * p.grid_cols_ + jt] = total;
-      total += ceil_div(nc, NR) * NR * kc;
-    }
-  }
-  p.buf_.resize(static_cast<std::size_t>(total));
-  for (index_t pt = 0; pt < p.grid_rows_; ++pt) {
-    const index_t kc = std::min(KC, p.rows_ - pt * KC);
-    for (index_t jt = 0; jt < p.grid_cols_; ++jt) {
-      const index_t nc = std::min(NC, p.cols_ - jt * NC);
-      kern.pack_b(opb, b, pt * KC, jt * NC, kc, nc,
-                  p.buf_.data() + p.offsets_[pt * p.grid_cols_ + jt]);
-    }
-  }
-  gemm_stats::g_shared_packs.fetch_add(1, std::memory_order_relaxed);
-  return p;
-}
-
-template <typename T>
 void gemm_prepacked_a(const PackedMatrix<T>& ap, T alpha, Op opb,
                       NoDeduce<ConstMatrixView<T>> b, T beta,
                       MatrixView<T> c) {
   const ResolvedBlocking& blk = resolved_blocking<T>();
   const GemmKernels<T>& kern = gemm_kernels<T>();
   const index_t MC = blk.mc, KC = blk.kc, NC = blk.nc;
-  HODLRX_REQUIRE(ap.kind() == PackedMatrix<T>::Kind::kA,
-                 "gemm_prepacked_a: operand was packed as B");
   const index_t m = c.rows, n = c.cols, k = ap.cols();
   HODLRX_REQUIRE(ap.rows() == m && op_rows(opb, b) == k &&
                      op_cols(opb, b) == n,
@@ -393,41 +341,6 @@ void gemm_prepacked_a(const PackedMatrix<T>& ap, T alpha, Op opb,
       for (index_t ic = 0; ic < m; ic += MC) {
         const index_t mc = std::min(MC, m - ic);
         kern.macro(mc, nc, kc, alpha, ap.tile(ic / MC, pc / KC), bp, beta_eff,
-                   c.block(ic, jc, mc, nc));
-      }
-    }
-  }
-}
-
-template <typename T>
-void gemm_prepacked_b(Op opa, T alpha, NoDeduce<ConstMatrixView<T>> a,
-                      const PackedMatrix<T>& bp, T beta, MatrixView<T> c) {
-  const ResolvedBlocking& blk = resolved_blocking<T>();
-  const GemmKernels<T>& kern = gemm_kernels<T>();
-  const index_t MC = blk.mc, KC = blk.kc, NC = blk.nc;
-  HODLRX_REQUIRE(bp.kind() == PackedMatrix<T>::Kind::kB,
-                 "gemm_prepacked_b: operand was packed as A");
-  const index_t m = c.rows, n = c.cols, k = bp.rows();
-  HODLRX_REQUIRE(bp.cols() == n && op_rows(opa, a) == m &&
-                     op_cols(opa, a) == k,
-                 "gemm_prepacked_b: shape mismatch");
-  if (m == 0 || n == 0) return;
-  if (k == 0 || alpha == T{}) {
-    scale_c(beta, c);
-    return;
-  }
-  WorkspaceArena& ws = WorkspaceArena::local();
-  T* ap = ws.get<T>(padded(MC, kern.mr) * KC, WorkspaceArena::kPackA);
-  for (index_t jc = 0; jc < n; jc += NC) {
-    const index_t nc = std::min(NC, n - jc);
-    for (index_t pc = 0; pc < k; pc += KC) {
-      const index_t kc = std::min(KC, k - pc);
-      const T beta_eff = (pc == 0) ? beta : T{1};
-      for (index_t ic = 0; ic < m; ic += MC) {
-        const index_t mc = std::min(MC, m - ic);
-        kern.pack_a(opa, a, ic, pc, mc, kc, ap);
-        gemm_stats::g_a_packs.fetch_add(1, std::memory_order_relaxed);
-        kern.macro(mc, nc, kc, alpha, ap, bp.tile(pc / KC, jc / NC), beta_eff,
                    c.block(ic, jc, mc, nc));
       }
     }
@@ -473,15 +386,11 @@ bool gemm_parallel_shared_a(Op opa, Op opb, T alpha,
                                MatrixView<T>);                                \
   template TileDims gemm_selected_tile<T>();                                  \
   template const char* gemm_selected_tile_name<T>();                          \
-  template PackedMatrix<T> pack_a_full<T>(Op, ConstMatrixView<T>);            \
   template void pack_a_full_into<T>(Op, ConstMatrixView<T>,                   \
                                     PackedMatrix<T>&);                        \
-  template PackedMatrix<T> pack_b_full<T>(Op, ConstMatrixView<T>);            \
   template void gemm_prepacked_a<T>(const PackedMatrix<T>&, T, Op,            \
                                     NoDeduce<ConstMatrixView<T>>, T,          \
                                     MatrixView<T>);                           \
-  template void gemm_prepacked_b<T>(Op, T, NoDeduce<ConstMatrixView<T>>,      \
-                                    const PackedMatrix<T>&, T, MatrixView<T>);\
   template bool gemm_parallel_shared_a<T>(Op, Op, T,                          \
                                           NoDeduce<ConstMatrixView<T>>,       \
                                           NoDeduce<ConstMatrixView<T>>, T,    \

@@ -26,9 +26,9 @@
 /// come from the thread-local WorkspaceArena, so steady state allocates
 /// nothing.
 ///
-/// The batch layer additionally uses "full" packs (PackedMatrix): when every
-/// problem in a strided batch reads the same operand (stride 0), that operand
-/// is packed once per launch and reused by all problems.
+/// gemm_parallel additionally uses a "full" pack (PackedMatrix): op(A) is
+/// packed once per launch into a persistent slot and every column chunk of
+/// C multiplies against the shared tiles.
 
 namespace hodlrx {
 
@@ -92,17 +92,13 @@ template <typename T>
 const char* gemm_selected_tile_name();
 
 /// Pack-event counters (relaxed atomics, process-wide). Used by tests to
-/// assert that batch-shared operands are packed exactly once per launch, and
-/// by benches to report packing overhead.
+/// assert that gemm_parallel packs A exactly once per launch, and by benches
+/// to report packing overhead.
 namespace gemm_stats {
 /// Per-block A packs performed inside gemm calls.
 std::uint64_t a_packs();
 /// Per-block B packs performed inside gemm calls.
 std::uint64_t b_packs();
-/// Full-operand packs shared across a BATCH (one per pack_a_full /
-/// pack_b_full call) — the stride-0 batched fast path. Pool-shared packs are
-/// counted separately so exact-count assertions stay machine-independent.
-std::uint64_t shared_packs();
 /// Full A-packs into the pool's persistent slot (one per qualifying
 /// gemm_parallel launch; see gemm_parallel_shared_a).
 std::uint64_t pool_packs();
@@ -122,69 +118,45 @@ template <typename T>
 void gemm_packed(Op opa, Op opb, T alpha, NoDeduce<ConstMatrixView<T>> a,
                  NoDeduce<ConstMatrixView<T>> b, T beta, MatrixView<T> c);
 
-/// A whole operand packed into panel layout, reusable across many multiplies
-/// (the batch layer's shared-operand fast path). `rows x cols` is the shape
-/// of op(X); the op (including conjugation) is absorbed at pack time.
+/// All of op(A) packed into MR-panel layout, one tile per (MC, KC) cache
+/// block, reusable across many multiplies (gemm_parallel_shared_a's
+/// persistent slot). `rows x cols` is the shape of op(A); the op (including
+/// conjugation) is absorbed at pack time.
 template <typename T>
 class PackedMatrix {
  public:
-  enum class Kind { kA, kB };
-
-  Kind kind() const { return kind_; }
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
   std::size_t bytes() const { return buf_.size() * sizeof(T); }
 
-  /// Packed tile for cache-block indices (it = row block, pt = k block) of
-  /// an A-pack, or (pt = k block, jt = column block) of a B-pack.
-  const T* tile(index_t first, index_t second) const {
-    return buf_.data() + offsets_[first * grid_cols_ + second];
+  /// Packed tile for cache-block indices (it = row block, pt = k block).
+  const T* tile(index_t it, index_t pt) const {
+    return buf_.data() + offsets_[it * grid_cols_ + pt];
   }
 
  private:
   template <typename U>
-  friend PackedMatrix<U> pack_a_full(Op opa, ConstMatrixView<U> a);
-  template <typename U>
-  friend PackedMatrix<U> pack_b_full(Op opb, ConstMatrixView<U> b);
-  template <typename U>
   friend void pack_a_full_into(Op opa, ConstMatrixView<U> a,
                                PackedMatrix<U>& out);
 
-  Kind kind_ = Kind::kA;
   index_t rows_ = 0, cols_ = 0;
   index_t grid_rows_ = 0, grid_cols_ = 0;
   std::vector<index_t> offsets_;  ///< grid_rows_ * grid_cols_ tile offsets
   std::vector<T, AlignedAllocator<T>> buf_;
 };
 
-/// Pack all of op(A) (shape m x k) into MR-panel layout, one tile per
-/// (MC, KC) cache block. Counts one shared pack.
-template <typename T>
-PackedMatrix<T> pack_a_full(Op opa, ConstMatrixView<T> a);
-
-/// As pack_a_full, but reuses `out`'s existing storage (no allocation once
-/// the buffer has grown to steady state) and does NOT touch the pack
-/// counters (call sites account under the stat that fits their role). This
-/// is the pool's persistent shared A-pack slot: gemm_parallel packs op(A)
-/// once per launch into it and every column chunk reads the shared tiles.
+/// Pack all of op(A) (shape m x k) into `out`, reusing its storage (no
+/// allocation once the buffer has grown to steady state). Touches no pack
+/// counter; gemm_parallel_shared_a counts its packs as pool_packs.
 template <typename T>
 void pack_a_full_into(Op opa, ConstMatrixView<T> a, PackedMatrix<T>& out);
 
-/// Pack all of op(B) (shape k x n) into NR-panel layout, one tile per
-/// (KC, NC) cache block. Counts one shared pack.
-template <typename T>
-PackedMatrix<T> pack_b_full(Op opb, ConstMatrixView<T> b);
-
-/// C = alpha * packed_A * op(B) + beta * C where `ap` came from pack_a_full.
+/// C = alpha * packed_A * op(B) + beta * C where `ap` came from
+/// pack_a_full_into.
 template <typename T>
 void gemm_prepacked_a(const PackedMatrix<T>& ap, T alpha, Op opb,
                       NoDeduce<ConstMatrixView<T>> b, T beta, MatrixView<T> c);
-
-/// C = alpha * op(A) * packed_B + beta * C where `bp` came from pack_b_full.
-template <typename T>
-void gemm_prepacked_b(Op opa, T alpha, NoDeduce<ConstMatrixView<T>> a,
-                      const PackedMatrix<T>& bp, T beta, MatrixView<T> c);
 
 /// Pool-parallel multiply with a SHARED A-pack: op(A) is packed once into a
 /// persistent per-type slot and the columns of C are split across the

@@ -327,23 +327,46 @@ void getrs_nopivot_parallel(NoDeduce<ConstMatrixView<T>> lu, MatrixView<T> b) {
 
 namespace {
 
+/// 1 / z; for complex z Smith's algorithm, written out in real arithmetic
+/// so that |z|^2 is never formed (it under- or overflows long before z).
+template <typename T>
+T recip_smith(T z) {
+  if constexpr (is_complex_v<T>) {
+    using R = real_t<T>;
+    const R c = z.real(), d = z.imag();
+    if (std::abs(c) >= std::abs(d)) {
+      const R ratio = d / c;
+      const R denom = c + d * ratio;
+      return T{R{1} / denom, -ratio / denom};
+    }
+    const R ratio = c / d;
+    const R denom = c * ratio + d;
+    return T{ratio / denom, R{-1} / denom};
+  } else {
+    return T{1} / z;
+  }
+}
+
 /// Compute a Householder reflector H = I - tau * v v^H annihilating
 /// x[1..n) into x[0]; v[0] = 1 implied, v stored in x[1..n). Returns tau and
 /// replaces x[0] with the resulting "beta" value (the new diagonal of R).
+/// A real column with a zero tail, or beta == 0, is left alone (tau = 0).
 template <typename T>
 T make_householder(T* x, index_t n) {
-  if (n <= 1) {
-    return T{};
-  }
-  // The branchy parameter math is shared with the across-batch SIMD panel
-  // (lapack.hpp::householder_params), so both paths produce the same
-  // tau/scale/beta bit-for-bit.
-  const HouseholderParams<T> p =
-      householder_params<T>(x[0], norm2(x + 1, n - 1));
-  if (!p.apply) return T{};
-  for (index_t i = 1; i < n; ++i) x[i] *= p.scale;
-  x[0] = p.beta;
-  return p.tau;
+  using R = real_t<T>;
+  if (n <= 1) return T{};
+  const T alpha = x[0];
+  const R xnorm = norm2(x + 1, n - 1);
+  if (xnorm == R{0} && !is_complex_v<T>) return T{};
+  R beta = std::hypot(abs_s(alpha), xnorm);
+  // Choose sign to avoid cancellation: beta has opposite sign of Re(alpha).
+  if (ScalarTraits<T>::real(alpha) > R{0}) beta = -beta;
+  if (beta == R{0}) return T{};
+  const T betaT = T{beta};
+  const T scale = recip_smith(alpha - betaT);
+  for (index_t i = 1; i < n; ++i) x[i] *= scale;
+  x[0] = betaT;
+  return (betaT - alpha) / beta;  // real divisor: component-wise division
 }
 
 /// Apply H = I - tau v v^H (v from column `k` of `factors`, v[0]=1 implied)
@@ -377,8 +400,11 @@ void add_geqrf_flops(index_t m, index_t n, std::uint64_t internal) {
     FlopCounter::instance().add(FlopCounter::kOther, total - internal);
 }
 
-}  // namespace
-
+/// Flops the blocked drivers' internal GEMM calls book under kGemm on their
+/// own (the Gram product of larft_forward plus the three block-reflector
+/// multiplies per panel), mirroring the panel loops exactly. `kmax` is the
+/// number of reflector columns and `ntotal` the column count the trailing
+/// window is measured against (n for geqrf, min(m,n) for thin_q).
 template <typename T>
 std::uint64_t blocked_qr_internal_flops(index_t m, index_t kmax,
                                         index_t ntotal, index_t nb) {
@@ -396,6 +422,9 @@ std::uint64_t blocked_qr_internal_flops(index_t m, index_t kmax,
   return total;
 }
 
+/// Unblocked Householder QR, in place: R in the upper triangle, reflectors
+/// below the diagonal, `tau[0..min(m,n))` scalars. The panel kernel of the
+/// blocked drivers and the seed reference path (geqrf_reference).
 template <typename T>
 void geqrf_panel(MatrixView<T> a, T* tau) {
   const index_t m = a.rows, n = a.cols;
@@ -408,6 +437,9 @@ void geqrf_panel(MatrixView<T> a, T* tau) {
   }
 }
 
+/// In-place thin Q of an UNBLOCKED panel (LAPACK org2r): `a` holds geqrf
+/// reflectors in all of its `a.cols <= a.rows` columns and is overwritten
+/// with the orthonormal Q columns.
 template <typename T>
 void thin_q_panel(MatrixView<T> a, const T* tau) {
   const index_t m = a.rows, k = a.cols;
@@ -425,8 +457,11 @@ void thin_q_panel(MatrixView<T> a, const T* tau) {
   }
 }
 
+/// Copy the unit-lower-trapezoid reflectors of a factored panel into `v`
+/// (same shape) with an explicit unit diagonal and zeros above — the layout
+/// the compact-WY block-reflector GEMMs consume.
 template <typename T>
-void copy_reflectors(NoDeduce<ConstMatrixView<T>> panel, MatrixView<T> v) {
+void copy_reflectors(ConstMatrixView<T> panel, MatrixView<T> v) {
   HODLRX_REQUIRE(panel.rows == v.rows && panel.cols == v.cols,
                  "copy_reflectors: shape mismatch");
   for (index_t j = 0; j < panel.cols; ++j) {
@@ -438,9 +473,14 @@ void copy_reflectors(NoDeduce<ConstMatrixView<T>> panel, MatrixView<T> v) {
   }
 }
 
+/// Forward columnwise compact-WY triangular factor (LAPACK larft): given the
+/// explicit reflectors `v` (from copy_reflectors) and their taus, fill the
+/// upper-triangular `t` (ib x ib, ib = v.cols) so that
+///   H_0 H_1 ... H_{ib-1} = I - V T V^H.
+/// The inner products are batched into one Gram GEMM (G = V^H V) so the
+/// dominant work runs at engine speed instead of as latency-bound dots.
 template <typename T>
-void larft_forward(NoDeduce<ConstMatrixView<T>> v, const T* tau,
-                   MatrixView<T> t) {
+void larft_forward(ConstMatrixView<T> v, const T* tau, MatrixView<T> t) {
   const index_t ib = v.cols;
   HODLRX_REQUIRE(t.rows >= ib && t.cols >= ib, "larft_forward: t too small");
   // One Gram GEMM supplies every V(:,0:j)^H v_j column at engine speed.
@@ -463,8 +503,6 @@ void larft_forward(NoDeduce<ConstMatrixView<T>> v, const T* tau,
   }
 }
 
-namespace {
-
 /// Shared trailing-window update of both blocked drivers:
 ///   geqrf (adjoint=true):  C -= V (T^H (V^H C))   — applies Q_panel^H
 ///   thin_q (adjoint=false): C -= V (T   (V^H C))  — applies Q_panel
@@ -484,8 +522,7 @@ void apply_block_reflector(ConstMatrixView<T> v, ConstMatrixView<T> t,
 }
 
 /// Book the non-GEMM remainder of an explicit thin-Q formation (model:
-/// 2 m k^2) under kOther, mirroring add_geqrf_flops so FlopCounter totals
-/// agree between the in-place and strided-batched paths.
+/// 2 m k^2) under kOther, mirroring add_geqrf_flops.
 template <typename T>
 void add_thin_q_flops(index_t m, index_t k, std::uint64_t internal) {
   const std::uint64_t total = (is_complex_v<T> ? 4ull : 1ull) * 2ull *
@@ -1061,12 +1098,6 @@ Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
                                           MatrixView<T>);                   \
   template void trsm_left<T>(Uplo, Diag, NoDeduce<ConstMatrixView<T>>,      \
                              MatrixView<T>);                                \
-  template void geqrf_panel<T>(MatrixView<T>, T*);                          \
-  template void thin_q_panel<T>(MatrixView<T>, const T*);                   \
-  template void copy_reflectors<T>(NoDeduce<ConstMatrixView<T>>,            \
-                                   MatrixView<T>);                          \
-  template void larft_forward<T>(NoDeduce<ConstMatrixView<T>>, const T*,    \
-                                 MatrixView<T>);                            \
   template void geqrf_inplace<T>(MatrixView<T>, T*);                        \
   template void geqrf_inplace_parallel<T>(MatrixView<T>, T*);               \
   template void thin_q_inplace<T>(MatrixView<T>, const T*);                 \
@@ -1075,8 +1106,6 @@ Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
   template Matrix<T> thin_q<T>(const QRFactors<T>&);                        \
   template QRFactors<T> geqrf_reference<T>(ConstMatrixView<T>);             \
   template Matrix<T> thin_q_reference<T>(const QRFactors<T>&);              \
-  template std::uint64_t blocked_qr_internal_flops<T>(index_t, index_t,     \
-                                                      index_t, index_t);    \
   template Matrix<T> r_factor<T>(const QRFactors<T>&);                      \
   template index_t potrf_upper<T>(MatrixView<T>, NoDeduce<real_t<T>>);      \
   template CPQRFactors<T> geqp3<T>(ConstMatrixView<T>, NoDeduce<real_t<T>>,  \

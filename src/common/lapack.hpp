@@ -81,51 +81,23 @@ struct QRFactors {
   std::vector<T> tau;   ///< min(m, n) Householder scalars
 };
 
-/// The panel width of the blocked Householder drivers (geqrf_inplace,
-/// thin_q_inplace and the strided-batched QR engine) comes from the shared
-/// blocking resolver: resolved_blocking<T>().qr_nb (blocking.hpp), i.e.
-/// HODLRX_QR_NB override > probed cache model > the static 16.
+/// The panel width of the blocked Householder drivers (geqrf_inplace and
+/// thin_q_inplace) comes from the shared blocking resolver:
+/// resolved_blocking<T>().qr_nb (blocking.hpp), i.e. HODLRX_QR_NB override >
+/// probed cache model > the static 16.
 
-/// Unblocked Householder QR, in place: R in the upper triangle, reflectors
-/// below the diagonal, `tau[0..min(m,n))` scalars. This is the panel kernel
-/// of the blocked drivers and the batched engine; it is also the seed
-/// reference path the benches compare against.
-template <typename T>
-void geqrf_panel(MatrixView<T> a, T* tau);
-
-/// In-place thin Q of an UNBLOCKED panel (LAPACK org2r): `a` holds geqrf
-/// reflectors in all of its `a.cols <= a.rows` columns and is overwritten
-/// with the orthonormal Q columns.
-template <typename T>
-void thin_q_panel(MatrixView<T> a, const T* tau);
-
-/// Copy the unit-lower-trapezoid reflectors of a factored panel into `v`
-/// (same shape) with an explicit unit diagonal and zeros above — the layout
-/// the compact-WY block-reflector GEMMs consume.
-template <typename T>
-void copy_reflectors(NoDeduce<ConstMatrixView<T>> panel, MatrixView<T> v);
-
-/// Forward columnwise compact-WY triangular factor (LAPACK larft): given the
-/// explicit reflectors `v` (from copy_reflectors) and their taus, fill the
-/// upper-triangular `t` (ib x ib, ib = v.cols) so that
-///   H_0 H_1 ... H_{ib-1} = I - V T V^H.
-/// The inner products are batched into one Gram GEMM (G = V^H V) so the
-/// dominant work runs at engine speed instead of as latency-bound dots.
-template <typename T>
-void larft_forward(NoDeduce<ConstMatrixView<T>> v, const T* tau,
-                   MatrixView<T> t);
-
-/// Blocked Householder QR, in place (same output layout as geqrf_panel):
-/// panels of resolved_blocking<T>().qr_nb columns are factored unblocked,
-/// then the trailing
-/// matrix is updated with the compact-WY block reflector — three GEMMs that
-/// run through the packed engine instead of per-reflector strided loops.
+/// Blocked Householder QR, in place: R in the upper triangle, reflectors
+/// below the diagonal, `tau[0..min(m,n))` scalars. Panels of
+/// resolved_blocking<T>().qr_nb columns are factored unblocked, then the
+/// trailing matrix is updated with the compact-WY block reflector — three
+/// GEMMs that run through the packed engine instead of per-reflector
+/// strided loops.
 template <typename T>
 void geqrf_inplace(MatrixView<T> a, T* tau);
 
 /// geqrf_inplace with intra-problem parallelism: the flop-carrying trailing
-/// multiply of every block reflector runs through gemm_parallel. The batched
-/// engine's stream-mode QR for few, large problems (mirrors getrf_parallel).
+/// multiply of every block reflector runs through gemm_parallel (mirrors
+/// getrf_parallel). rsvd orthonormalizes its sketches with it.
 template <typename T>
 void geqrf_inplace_parallel(MatrixView<T> a, T* tau);
 
@@ -135,8 +107,7 @@ void geqrf_inplace_parallel(MatrixView<T> a, T* tau);
 template <typename T>
 void thin_q_inplace(MatrixView<T> a, const T* tau);
 
-/// thin_q_inplace with the trailing multiplies through gemm_parallel
-/// (stream-mode thin Q).
+/// thin_q_inplace with the trailing multiplies through gemm_parallel.
 template <typename T>
 void thin_q_inplace_parallel(MatrixView<T> a, const T* tau);
 
@@ -154,17 +125,6 @@ QRFactors<T> geqrf(const Matrix<T>& a) {
 /// Explicit thin Q (m x min(m,n)) from geqrf output.
 template <typename T>
 Matrix<T> thin_q(const QRFactors<T>& qr);
-
-/// Flops the blocked QR/thin-Q drivers' internal GEMM calls book under kGemm
-/// on their own (the Gram product of larft_forward plus the three
-/// block-reflector multiplies per panel) — mirrors the panel loops exactly.
-/// `kmax` is the number of reflector columns and `ntotal` the column count
-/// the trailing window is measured against (n for geqrf, min(m,n) for
-/// thin_q). Shared by the single-problem and strided-batched drivers so the
-/// kOther remainder subtraction cannot drift between them.
-template <typename T>
-std::uint64_t blocked_qr_internal_flops(index_t m, index_t kmax,
-                                        index_t ntotal, index_t nb);
 
 /// The seed's unblocked QR + per-reflector thin Q, kept callable so tests
 /// and benches can cross-check the blocked engine against it (the same role
@@ -225,13 +185,13 @@ struct SVDResult {
 };
 
 /// Counters of the Jacobi SVD machinery (relaxed atomics, process-wide).
-/// Tests use them to assert (a) that the batched compression sweep performs
-/// ZERO per-block SVD pool tasks and (b) that non-convergence never passes
-/// silently — the pre-PR-4 jacobi_svd returned garbage without a trace when
-/// it exhausted its sweep budget.
+/// Tests use them to assert (a) that the batched recompression of a uniform
+/// level performs ZERO per-block SVD pool tasks and (b) that non-convergence
+/// never passes silently — the pre-PR-4 jacobi_svd returned garbage without
+/// a trace when it exhausted its sweep budget.
 namespace svd_stats {
 /// Serial single-problem jacobi_svd calls (the per-block path the batched
-/// compression sweep must NOT take).
+/// recompression must NOT take).
 std::uint64_t serial_svds();
 /// Problems (serial or batched) that exhausted the sweep budget.
 std::uint64_t nonconverged();
@@ -285,77 +245,20 @@ struct SvdInfo {
   bool converged = true;
 };
 
-namespace detail {
-/// Robust reciprocal. For complex types this is Smith's algorithm written
-/// out in REAL arithmetic: the parameter helpers below are inline templates
-/// instantiated both in lapack.cpp (full Annex-G complex arithmetic) and in
-/// the batch-kernel TU, which is compiled with -fcx-limited-range — the
-/// linker keeps ONE copy, so a complex/complex division here would silently
-/// take the limited-range form (naive conj(z)/|z|^2, whose |z|^2 under- or
-/// overflows) whenever that TU's instantiation wins. Component-wise real
-/// ops make the helpers independent of which instantiation is kept.
-template <typename T>
-T recip_smith(T z) {
-  if constexpr (is_complex_v<T>) {
-    using R = real_t<T>;
-    const R c = z.real(), d = z.imag();
-    if (std::abs(c) >= std::abs(d)) {
-      const R ratio = d / c;
-      const R denom = c + d * ratio;
-      return T{R{1} / denom, -ratio / denom};
-    }
-    const R ratio = c / d;
-    const R denom = c * ratio + d;
-    return T{ratio / denom, R{-1} / denom};
-  } else {
-    return T{1} / z;
-  }
-}
-}  // namespace detail
-
-/// The branchy scalar parameter step of one Householder reflector,
-/// factored out so the scalar kernel (make_householder) and the
-/// across-batch SIMD panel (geqrf_panel_batch) compute EXACTLY the same
-/// tau/scale/beta from the same (alpha, xnorm) — the formulas cannot drift
-/// apart. `apply == false` reproduces the scalar early-outs (zero tail on a
-/// real column, beta == 0): tau = 0, scale = 1 and beta = alpha are exact
-/// no-ops when folded into vectorized column updates.
-/// Divisions are by REAL scalars or via detail::recip_smith only — see the
-/// note there on -fcx-limited-range.
-template <typename T>
-struct HouseholderParams {
-  T tau{};        ///< reflector scalar (0 = identity)
-  T scale{T{1}};  ///< multiplier for x[1..n) (1 = identity)
-  T beta{};       ///< new diagonal entry (alpha when !apply)
-  bool apply = false;
-};
-template <typename T>
-HouseholderParams<T> householder_params(T alpha, real_t<T> xnorm) {
-  using R = real_t<T>;
-  HouseholderParams<T> p;
-  p.beta = alpha;
-  if (xnorm == R{0} && !is_complex_v<T>) return p;
-  R beta = std::hypot(abs_s(alpha), xnorm);
-  // Choose sign to avoid cancellation: beta has opposite sign of Re(alpha).
-  if (ScalarTraits<T>::real(alpha) > R{0}) beta = -beta;
-  if (beta == R{0}) return p;
-  const T betaT = T{beta};
-  p.tau = (betaT - alpha) / beta;  // real divisor: component-wise division
-  p.scale = detail::recip_smith(alpha - betaT);
-  p.beta = betaT;
-  p.apply = true;
-  return p;
-}
-
 /// The per-pair parameter step of one one-sided Jacobi rotation, shared by
-/// jacobi_sweep_gram and the across-batch sweep (jacobi_sweep_batch) for
-/// the same reason as householder_params. `alpha`/`beta` are the (already
+/// jacobi_sweep_gram and the across-batch sweep (jacobi_sweep_batch) so
+/// both compute EXACTLY the same (c, s) from the same Gram entries — the
+/// formulas cannot drift apart. `alpha`/`beta` are the (already
 /// non-negative-clamped) diagonal Gram entries, `gamma` the off-diagonal
 /// one and `gmax` the LARGEST Gram diagonal of the problem (sampled at
 /// sweep start — the scale reference of the deflation test below);
 /// `rotate == false` means the pair passed the convergence or deflation
 /// test and (c, s) = (1, 0) is the identity rotation. Divisions and the
-/// phase product are by REAL scalars only — see detail::recip_smith on why.
+/// phase product are by REAL scalars only: this inline helper is also
+/// instantiated in the batch-kernel TU, which is compiled with
+/// -fcx-limited-range, and the linker keeps ONE copy, so a complex/complex
+/// division here would silently take the limited-range form whenever that
+/// TU's instantiation wins.
 template <typename T>
 struct JacobiRotation {
   real_t<T> c{1};

@@ -10,7 +10,6 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
-#include "device/device.hpp"
 #include "lowrank/aca.hpp"
 #include "lowrank/recompress.hpp"
 #include "lowrank/rsvd.hpp"
@@ -19,20 +18,19 @@ namespace hodlrx {
 
 namespace {
 
-/// Fold a batched-rsvd sweep's breakdown counters into the report.
-/// RsvdBreakdowns counts healed and un-healed problems separately; the
-/// report's svd_nonconverged column counts every problem that exhausted the
-/// budget (healed or not), svd_recovered the healed subset.
-void fold_rsvd_breakdowns(const RsvdBreakdowns& bd, FactorReport* report) {
+/// Fold the batched recompression's core-SVD breakdowns into the report:
+/// svd_nonconverged counts every problem that exhausted the sweep budget
+/// (healed or not), svd_recovered the ones the serial re-run healed.
+void fold_svd_breakdowns(const SvdBatchInfo& info, FactorReport* report) {
   if (report == nullptr) return;
-  if (bd.svd_nonconverged == 0 && bd.svd_recovered == 0) return;
-  report->svd_nonconverged += bd.svd_nonconverged + bd.svd_recovered;
-  report->svd_recovered += bd.svd_recovered;
+  const index_t exhausted = info.nonconverged + info.recovered;
+  if (exhausted == 0) return;
+  report->svd_nonconverged += exhausted;
+  report->svd_recovered += info.recovered;
   report->events.push_back(
       "build: batched svd exhausted its sweep budget on " +
-      std::to_string(bd.svd_nonconverged + bd.svd_recovered) +
-      " problem(s), " + std::to_string(bd.svd_recovered) +
-      " recovered by the serial re-run");
+      std::to_string(exhausted) + " problem(s), " +
+      std::to_string(info.recovered) + " recovered by the serial re-run");
 }
 
 /// Leaf offsets into dbig (size leaves + 1).
@@ -181,162 +179,6 @@ index_t uniform_level_size(const ClusterTree& tree, index_t level) {
   return s;
 }
 
-/// RsvdOptions from the build options (the sketch width comes from
-/// max_rank + oversampling; see Compressor::kRsvdBatched).
-RsvdOptions rsvd_options(const BuildOptions& opt) {
-  HODLRX_REQUIRE(opt.max_rank > 0,
-                 "Compressor::kRsvdBatched needs max_rank > 0 (the sketch "
-                 "width); got " << opt.max_rank);
-  RsvdOptions ropt;
-  ropt.rank = opt.max_rank;
-  ropt.oversampling = opt.rsvd_oversampling;
-  ropt.power_iterations = opt.rsvd_power_iterations;
-  ropt.tol = opt.tol;
-  return ropt;
-}
-
-/// Store one uniform-level sweep's factors: pair j's "upper" block
-/// A(I_2j, I_2j+1) row-basis lands on node 2j, its column basis on the
-/// sibling; vice versa for the "lower" sweep.
-template <typename T>
-void store_level_factors(Staged<T>& st, index_t begin, index_t q,
-                         std::vector<LowRankFactor<T>>&& upper,
-                         std::vector<LowRankFactor<T>>&& lower) {
-  for (index_t j = 0; j < q; ++j) {
-    const index_t nu = begin + 2 * j;   // rows of the upper block
-    const index_t sib = nu + 1;         // rows of the lower block
-    st.u[nu] = std::move(upper[j].u);
-    st.v[sib] = std::move(upper[j].v);
-    st.u[sib] = std::move(lower[j].u);
-    st.v[nu] = std::move(lower[j].v);
-  }
-}
-
-/// Batched-rsvd construction from a dense view: every uniform tree level is
-/// compressed in TWO strided-batched sweeps (one per sibling side), each
-/// sketching all of the level's blocks against ONE shared Gaussian test
-/// matrix — the production caller of the batch layer's stride-0 pack-once
-/// fast path (see rsvd_strided_batched). Non-uniform levels fall back to an
-/// independent rsvd per block.
-template <typename T>
-void build_from_dense_rsvd(ConstMatrixView<T> a, const ClusterTree& tree,
-                           const BuildOptions& opt, Staged<T>& st,
-                           FactorReport* report) {
-  RsvdOptions ropt = rsvd_options(opt);
-  RsvdBreakdowns bd;
-  ropt.on_breakdown = opt.on_breakdown;
-  ropt.breakdowns = &bd;
-  for (index_t level = 1; level <= tree.depth(); ++level) {
-    const index_t begin = ClusterTree::level_begin(level);
-    const index_t count = ClusterTree::nodes_at_level(level);
-    const index_t q = count / 2;  // sibling pairs
-    const index_t s = uniform_level_size(tree, level);
-    if (s > 0) {
-      // Sibling pair j occupies rows/cols [2js, (2j+2)s): both the "upper"
-      // blocks A(I_2j, I_2j+1) and the "lower" blocks A(I_2j+1, I_2j) are
-      // s x s at a constant stride of 2s(ld + 1) — exactly the layout
-      // rsvd_strided_batched wants.
-      const index_t b0 = tree.node(begin).begin;
-      const index_t stride = 2 * s * (a.ld + 1);
-      ropt.seed = opt.seed + 2 * level;
-      auto upper = rsvd_strided_batched<T>(a.data + b0 + (b0 + s) * a.ld,
-                                           a.ld, stride, s, s, q, ropt);
-      ropt.seed = opt.seed + 2 * level + 1;
-      auto lower = rsvd_strided_batched<T>(a.data + (b0 + s) + b0 * a.ld,
-                                           a.ld, stride, s, s, q, ropt);
-      store_level_factors<T>(st, begin, q, std::move(upper), std::move(lower));
-    } else {
-      ropt.seed = opt.seed + 2 * level;
-      parallel_for(count, [&](index_t t) {
-        const index_t nu = begin + t;
-        const index_t sib = ClusterTree::sibling(nu);
-        const ClusterNode& rowc = tree.node(nu);
-        const ClusterNode& colc = tree.node(sib);
-        LowRankFactor<T> f = rsvd<T>(
-            a.block(rowc.begin, colc.begin, rowc.size(), colc.size()), ropt);
-        st.u[nu] = std::move(f.u);
-        st.v[sib] = std::move(f.v);
-      });
-    }
-  }
-  parallel_for(tree.num_leaves(), [&](index_t j) {
-    const ClusterNode& c = tree.node(tree.leaf(j));
-    copy(a.block(c.begin, c.begin, c.size(), c.size()), st.leaf(j));
-  });
-  fold_rsvd_breakdowns(bd, report);
-}
-
-/// Batched-rsvd construction straight from a MatrixGenerator — the
-/// generator-backed path that opens the batched sweep to kernel-defined BIE
-/// problems (paper Tables 3-5) WITHOUT ever forming the dense matrix. Every
-/// uniform level's off-diagonal blocks are materialized tile-by-tile into a
-/// strided "device" workspace shared by the pool (one fill_block per tile,
-/// tiles written in parallel), then the whole side is compressed by the same
-/// batched rsvd sweep the dense path uses. Peak extra memory is ONE level
-/// side — at most (n/2)^2 entries at level 1, a quarter of the dense matrix,
-/// reused (not reallocated) by every deeper level. Non-uniform levels
-/// materialize and compress block-by-block across the pool.
-template <typename T>
-void build_from_generator_rsvd(const MatrixGenerator<T>& g,
-                               const ClusterTree& tree, const BuildOptions& opt,
-                               Staged<T>& st, FactorReport* report) {
-  RsvdOptions ropt = rsvd_options(opt);
-  RsvdBreakdowns bd;
-  ropt.on_breakdown = opt.on_breakdown;
-  ropt.breakdowns = &bd;
-  std::vector<T, AlignedAllocator<T>> ws;
-  DeviceAllocation ws_mem;
-  for (index_t level = 1; level <= tree.depth(); ++level) {
-    const index_t begin = ClusterTree::level_begin(level);
-    const index_t count = ClusterTree::nodes_at_level(level);
-    const index_t q = count / 2;  // sibling pairs
-    const index_t s = uniform_level_size(tree, level);
-    if (s > 0) {
-      const index_t b0 = tree.node(begin).begin;
-      const std::size_t need = static_cast<std::size_t>(q) * s * s;
-      if (ws.size() < need) {
-        ws.resize(need);
-        ws_mem = DeviceAllocation(need * sizeof(T));
-      }
-      // One sweep per sibling side: fill the q tiles of the side in
-      // parallel (an H2D upload in the device model), then compress them in
-      // one batched launch sequence.
-      const auto sweep = [&](bool upper_side) {
-        parallel_for(q, [&](index_t j) {
-          const index_t row0 = b0 + 2 * j * s + (upper_side ? 0 : s);
-          const index_t col0 = b0 + 2 * j * s + (upper_side ? s : 0);
-          g.fill_block(row0, col0,
-                       MatrixView<T>{ws.data() + j * s * s, s, s, s});
-        });
-        DeviceContext::global().record_h2d(need * sizeof(T));
-        ropt.seed = opt.seed + 2 * level + (upper_side ? 0 : 1);
-        return rsvd_strided_batched<T>(ws.data(), s, s * s, s, s, q, ropt);
-      };
-      auto upper = sweep(/*upper_side=*/true);
-      auto lower = sweep(/*upper_side=*/false);
-      store_level_factors<T>(st, begin, q, std::move(upper), std::move(lower));
-    } else {
-      ropt.seed = opt.seed + 2 * level;
-      parallel_for(count, [&](index_t t) {
-        const index_t nu = begin + t;
-        const index_t sib = ClusterTree::sibling(nu);
-        const ClusterNode& rowc = tree.node(nu);
-        const ClusterNode& colc = tree.node(sib);
-        Matrix<T> block(rowc.size(), colc.size());
-        g.fill_block(rowc.begin, colc.begin, block);
-        LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
-        st.u[nu] = std::move(f.u);
-        st.v[sib] = std::move(f.v);
-      });
-    }
-  }
-  parallel_for(tree.num_leaves(), [&](index_t j) {
-    const ClusterNode& c = tree.node(tree.leaf(j));
-    g.fill_block(c.begin, c.begin, st.leaf(j));
-  });
-  fold_rsvd_breakdowns(bd, report);
-}
-
 }  // namespace
 
 PanelLayout PanelLayout::make(const ClusterTree& tree,
@@ -394,13 +236,6 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
                  "build: generator is " << g.rows() << "x" << g.cols()
                                         << " but tree has n=" << tree.n());
   Staged<T> st(tree);
-  if (opt.compressor == Compressor::kRsvdBatched) {
-    build_from_generator_rsvd<T>(g, tree, opt, st, report);
-    HodlrMatrix<T> h = finalize(std::move(st));
-    scan_build_finite(h, opt.on_breakdown, report);
-    return h;
-  }
-
   AcaOptions aopt;
   aopt.tol = opt.tol;
   aopt.max_rank = opt.max_rank;
@@ -462,15 +297,15 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
     HODLRX_REQUIRE(e.empty(), "HodlrMatrix::build failed: " << e);
   // Recovery ladder for stalled / non-converged ACA blocks: materialize the
   // block (it never formed during the cross search) and re-compress it
-  // through the batched rsvd pipeline, so a stall in the entry-sampling
-  // compressor cannot poison the representation. The sketch starts near the
-  // rank ACA achieved and doubles until the truncated rank falls below the
-  // sketch width (the tol tail was captured) — a full min(m, n)-wide sketch
-  // on a large block would be an O(n^3) retry. Under kReport the
-  // achieved-rank factor is kept and only recorded. The same holds for a
-  // block with NaN or Inf entries under kRecover: rsvd would truncate it to
-  // rank 0 and call it recovered, so its non-finite entries are counted.
-  RsvdBreakdowns bd;
+  // through rsvd, whose GEMMs and QRs run on the pool, so a stall in the
+  // entry-sampling compressor cannot poison the representation. The sketch
+  // starts near the rank ACA achieved and doubles until the truncated rank
+  // falls below the sketch width (the tol tail was captured) — a full
+  // min(m, n)-wide sketch on a large block would be an O(n^3) retry. Under
+  // kReport the achieved-rank factor is kept and only recorded. The same
+  // holds for a block with NaN or Inf entries under kRecover: rsvd would
+  // truncate it to rank 0 and call it recovered, so its non-finite entries
+  // are counted.
   for (index_t task = 0; task < num_offdiag; ++task) {
     if (!stalled[task]) continue;
     const index_t nu = first + task;
@@ -506,19 +341,16 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
             : std::min<index_t>(
                   minmn, std::max<index_t>(64, 2 * st.u[nu].cols()));
     RsvdOptions ropt;
-    ropt.oversampling = opt.rsvd_oversampling;
-    ropt.power_iterations = std::max(opt.rsvd_power_iterations, 2);
+    ropt.oversampling = 8;
+    ropt.power_iterations = 2;
     ropt.tol = opt.tol;
     ropt.seed = opt.seed + static_cast<std::uint64_t>(nu);
-    ropt.on_breakdown = opt.on_breakdown;
-    ropt.breakdowns = &bd;
     for (;;) {
       ropt.rank = sketch;
-      auto fs = rsvd_strided_batched<T>(block.data(), block.rows(), 0,
-                                        block.rows(), block.cols(), 1, ropt);
-      const bool captured = fs[0].u.cols() < sketch;  // tol tail reached
-      st.u[nu] = std::move(fs[0].u);
-      st.v[sib] = std::move(fs[0].v);
+      LowRankFactor<T> f = rsvd<T>(block.view(), ropt);
+      const bool captured = f.u.cols() < sketch;  // tol tail reached
+      st.u[nu] = std::move(f.u);
+      st.v[sib] = std::move(f.v);
       if (opt.max_rank > 0 || captured || sketch >= minmn) break;
       sketch = std::min<index_t>(minmn, 2 * sketch);
     }
@@ -530,9 +362,9 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
           ") re-compressed via rsvd to rank " + std::to_string(st.u[nu].cols()));
     }
   }
-  fold_rsvd_breakdowns(bd, report);
   // Batched re-truncation of every uniform level: all of the level's s x s
-  // blocks (both sibling sides) share one recompress_batched sweep.
+  // blocks (both sibling sides) share one recompress_batched sweep, whose
+  // core SVDs follow the build's breakdown policy.
   for (index_t level = 1; level <= tree.depth(); ++level) {
     if (!level_batched[level]) continue;
     const index_t begin = ClusterTree::level_begin(level);
@@ -544,7 +376,10 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
       fs[static_cast<std::size_t>(t)].v =
           std::move(st.v[ClusterTree::sibling(nu)]);
     }
-    recompress_batched<T>(fs, static_cast<real_t<T>>(opt.tol), opt.max_rank);
+    fold_svd_breakdowns(
+        recompress_batched<T>(fs, static_cast<real_t<T>>(opt.tol),
+                              opt.max_rank, opt.on_breakdown),
+        report);
     for (index_t t = 0; t < count; ++t) {
       const index_t nu = begin + t;
       st.u[nu] = std::move(fs[static_cast<std::size_t>(t)].u);
@@ -565,13 +400,6 @@ HodlrMatrix<T> HodlrMatrix<T>::build_from_dense(ConstMatrixView<T> a,
                  "build_from_dense: matrix is " << a.rows << "x" << a.cols
                                                 << " but tree has n="
                                                 << tree.n());
-  if (opt.compressor == Compressor::kRsvdBatched) {
-    Staged<T> st(tree);
-    build_from_dense_rsvd<T>(a, tree, opt, st, report);
-    HodlrMatrix<T> h = finalize(std::move(st));
-    scan_build_finite(h, opt.on_breakdown, report);
-    return h;
-  }
   DenseGenerator<T> g(to_matrix(a));
   return build(g, tree, opt, report);
 }

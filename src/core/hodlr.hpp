@@ -82,31 +82,25 @@ template <typename T>
 class HodlrMatrix {
  public:
   /// Compress `g` (square, indexed compatibly with `tree`) into HODLR form.
-  /// With the default Compressor::kAca every off-diagonal block runs
-  /// rook-pivoted ACA in parallel (throws if ACA fails to reach the
-  /// tolerance within the cap). With Compressor::kRsvdBatched every uniform
-  /// tree level is materialized tile-by-tile into a strided workspace and
-  /// compressed in one batched randomized-SVD sweep — the full matrix is
-  /// NEVER formed (generator_stats counter-asserts this), so kernel-defined
-  /// BIE problems get the batched device path too (requires max_rank > 0).
-  /// Either way the per-node factors are staged, then written once into the
-  /// level panels when all ranks are known; leaves are filled in place.
+  /// Every off-diagonal block runs rook-pivoted ACA in parallel, and every
+  /// uniform tree level is then re-truncated in one recompress_batched call
+  /// (non-uniform levels per block). The per-node factors are staged, then
+  /// written once into the level panels when all ranks are known; leaves are
+  /// filled in place.
   ///
-  /// Breakdown handling follows opt.on_breakdown: an ACA stall is retried
-  /// through a (batched) rsvd of the materialized block under kRecover,
-  /// kept at the achieved rank under kReport, and thrown under kThrow (the
-  /// pre-resilience behavior). A non-null `report` collects per-stage
-  /// breakdown counters, recovery actions and — with HODLRX_CHECK_FINITE —
-  /// a NaN/Inf scan of the compressed representation.
+  /// Breakdown handling follows opt.on_breakdown. An ACA stall is retried
+  /// through an rsvd of the materialized block under kRecover, kept at the
+  /// achieved rank under kReport, and thrown under kThrow. A recompression
+  /// core SVD that exhausts its sweep budget is re-run serially under
+  /// kRecover, kept under kReport, and thrown under kThrow. A non-null
+  /// `report` collects per-stage breakdown counters, recovery actions and,
+  /// with HODLRX_CHECK_FINITE, a NaN/Inf scan of the compressed
+  /// representation.
   static HodlrMatrix build(const MatrixGenerator<T>& g, const ClusterTree& tree,
                            const BuildOptions& opt = {},
                            FactorReport* report = nullptr);
 
-  /// Compress a dense matrix. With the default Compressor::kAca this wraps
-  /// `build` over a dense generator; with Compressor::kRsvdBatched every
-  /// uniform tree level is compressed in one batched randomized-SVD sweep in
-  /// which all blocks multiply ONE shared Gaussian test matrix (the batch
-  /// layer's stride-0 pack-once fast path; requires opt.max_rank > 0).
+  /// Compress a dense matrix: `build` over a DenseGenerator copy of `a`.
   static HodlrMatrix build_from_dense(ConstMatrixView<T> a,
                                       const ClusterTree& tree,
                                       const BuildOptions& opt = {},

@@ -25,32 +25,17 @@ enum class ExecMode {
   kBatched,  ///< Algorithms 3/4: batched kernels on the device engine
 };
 
-/// Which compressor builds the off-diagonal low-rank blocks.
-enum class Compressor {
-  kAca,          ///< rook-pivoted ACA per block (entry access; the default)
-  kRsvdBatched,  ///< batched randomized SVD: every uniform tree level is
-                 ///< swept in batched launches — ALL blocks multiply ONE
-                 ///< shared Gaussian test matrix (the stride-0 pack-once
-                 ///< fast path) and the QR/power-iteration tails run through
-                 ///< the panel-synchronized batched QR engine. Works on a
-                 ///< dense view (build_from_dense, zero-copy strided blocks)
-                 ///< or any MatrixGenerator (build, blocks materialized
-                 ///< tile-by-tile; the dense matrix is never formed);
-                 ///< requires max_rank > 0 (the sketch width).
-};
-
-/// Construction (compression) options.
+/// Construction (compression) options. Every off-diagonal block is
+/// compressed by rook-pivoted ACA (lowrank/aca.hpp).
 struct BuildOptions {
   double tol = 1e-12;        ///< relative accuracy of low-rank blocks
   index_t max_rank = -1;     ///< per-block rank cap (-1: unlimited)
   bool recompress = true;    ///< SVD re-truncation after ACA
   int rook_iterations = 3;
   std::uint64_t seed = 7;
-  Compressor compressor = Compressor::kAca;
-  index_t rsvd_oversampling = 8;  ///< extra sketch columns (kRsvdBatched)
-  int rsvd_power_iterations = 1;  ///< subspace iterations (kRsvdBatched)
-  /// Breakdown policy for the compression stage (ACA stall, batched-SVD
-  /// sweep exhaustion): recover by default, see OnBreakdown (fault.hpp).
+  /// Breakdown policy for the compression stage (ACA stall, sweep
+  /// exhaustion in the batched recompression SVD): recover by default, see
+  /// OnBreakdown (fault.hpp).
   OnBreakdown on_breakdown = OnBreakdown::kRecover;
 };
 

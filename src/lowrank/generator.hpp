@@ -9,20 +9,6 @@
 
 namespace hodlrx {
 
-/// Counters over generator usage (relaxed atomics, process-wide). The
-/// batched generator-backed HODLR build materializes off-diagonal blocks
-/// tile-by-tile and must never fall back to a full dense materialization;
-/// tests pin that contract by asserting full_materializations() stays flat
-/// across a build.
-namespace generator_stats {
-/// Whole-matrix materializations (calls to materialize(g)).
-std::uint64_t full_materializations();
-void reset();
-namespace detail {
-void record_full_materialization();
-}  // namespace detail
-}  // namespace generator_stats
-
 /// An implicitly defined `rows() x cols()` matrix.
 template <typename T>
 class MatrixGenerator {
@@ -48,11 +34,10 @@ class MatrixGenerator {
   }
 };
 
-/// Materialize a whole generator as a dense matrix (validation helper).
-/// Counted by generator_stats: production build paths must never call this.
+/// Materialize a whole generator as a dense matrix (validation helper and
+/// the dense baseline solver; the HODLR build never calls it).
 template <typename T>
 Matrix<T> materialize(const MatrixGenerator<T>& g) {
-  generator_stats::detail::record_full_materialization();
   Matrix<T> a(g.rows(), g.cols());
   g.fill_block(0, 0, a);
   return a;

@@ -30,8 +30,8 @@ struct LowRankFactor {
   std::size_t bytes() const { return u.bytes() + v.bytes(); }
 };
 
-/// The ONE truncation rule shared by every compressor (rsvd single-block,
-/// the batched compression sweep, recompress): cap the rank at `max_rank`
+/// The ONE truncation rule shared by every re-truncation (rsvd, recompress
+/// and recompress_batched): cap the rank at `max_rank`
 /// first (< 0 means uncapped), then keep the leading singular values
 /// STRICTLY above `tol * s[0]` — the tolerance is RELATIVE to the largest
 /// singular value of this block, so a zero block truncates to rank 0 and

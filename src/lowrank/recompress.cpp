@@ -76,11 +76,12 @@ index_t recompress(LowRankFactor<T>& factor, real_t<T> tol,
 }
 
 template <typename T>
-void recompress_batched(std::span<LowRankFactor<T>> factors, real_t<T> tol,
-                        index_t max_rank) {
+SvdBatchInfo recompress_batched(std::span<LowRankFactor<T>> factors,
+                                real_t<T> tol, index_t max_rank,
+                                OnBreakdown on_breakdown) {
   using R = real_t<T>;
   const index_t batch = static_cast<index_t>(factors.size());
-  if (batch == 0) return;
+  if (batch == 0) return {};
   const index_t m = factors[0].rows(), n = factors[0].cols();
   index_t rhat = 0;
   std::vector<index_t> rank(static_cast<std::size_t>(batch));
@@ -91,7 +92,7 @@ void recompress_batched(std::span<LowRankFactor<T>> factors, real_t<T> tol,
     rank[static_cast<std::size_t>(i)] = f.rank();
     rhat = std::max(rhat, f.rank());
   }
-  if (rhat == 0) return;
+  if (rhat == 0) return {};
   HODLRX_REQUIRE(rhat <= std::min(m, n),
                  "recompress_batched: rank " << rhat << " exceeds block "
                                              << m << "x" << n);
@@ -132,8 +133,12 @@ void recompress_batched(std::span<LowRankFactor<T>> factors, real_t<T> tol,
                           rhat, slot, batch);
   std::vector<R> sig(static_cast<std::size_t>(rhat) * batch);
   Matrix<T> z(rhat, rhat * batch);
-  jacobi_svd_strided_batched<T>(core.data(), rhat, slot, rhat, rhat,
-                                sig.data(), rhat, z.data(), rhat, slot, batch);
+  const SvdBatchInfo info = jacobi_svd_strided_batched<T>(
+      core.data(), rhat, slot, rhat, rhat, sig.data(), rhat, z.data(), rhat,
+      slot, batch, /*recover=*/on_breakdown == OnBreakdown::kRecover);
+  HODLRX_REQUIRE(on_breakdown != OnBreakdown::kThrow || info.nonconverged == 0,
+                 "recompress_batched: " << info.nonconverged << " of " << batch
+                                        << " core SVD(s) did not converge");
 
   // Shared truncation rule per problem. A padded core's extra singular
   // values are exact zeros, and the kept vectors vanish below row r_i.
@@ -161,13 +166,14 @@ void recompress_batched(std::span<LowRankFactor<T>> factors, real_t<T> tol,
     side = truncated_side<T>(side, rt, b.view());
   });
 
-  if (fallback.empty()) return;
+  if (fallback.empty()) return info;
   qr_stats::detail::add_cholesky_fallbacks(fallback.size());
   parallel_for(static_cast<index_t>(fallback.size()), [&](index_t j) {
     const index_t i = fallback[static_cast<std::size_t>(j)];
     detail::recompress_householder<T>(factors[static_cast<std::size_t>(i)],
                                       tol, max_rank);
   });
+  return info;
 }
 
 namespace detail {
@@ -212,8 +218,8 @@ index_t recompress_householder(LowRankFactor<T>& factor, real_t<T> tol,
 
 #define HODLRX_INSTANTIATE_RECOMPRESS(T)                                   \
   template index_t recompress<T>(LowRankFactor<T>&, real_t<T>, index_t);   \
-  template void recompress_batched<T>(std::span<LowRankFactor<T>>,         \
-                                      real_t<T>, index_t);                 \
+  template SvdBatchInfo recompress_batched<T>(                             \
+      std::span<LowRankFactor<T>>, real_t<T>, index_t, OnBreakdown);       \
   template index_t detail::recompress_householder<T>(LowRankFactor<T>&,    \
                                                      real_t<T>, index_t);
 

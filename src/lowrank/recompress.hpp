@@ -2,6 +2,8 @@
 
 #include <span>
 
+#include "batched/batched_blas.hpp"
+#include "common/fault.hpp"
 #include "lowrank/lowrank.hpp"
 
 /// \file recompress.hpp
@@ -45,9 +47,15 @@ index_t recompress(LowRankFactor<T>& factor, real_t<T> tol,
 /// the Householder rung, exactly as recompress would. This is how the
 /// construction stage recompresses a uniform tree level without per-block
 /// SVD tasks.
+///
+/// Core SVDs that exhaust the sweep budget follow `on_breakdown`: kRecover
+/// re-runs them serially with a larger budget, kReport keeps their
+/// unconverged factors, kThrow throws. The returned info counts them
+/// (SvdBatchInfo::nonconverged and recovered) for the caller's report.
 template <typename T>
-void recompress_batched(std::span<LowRankFactor<T>> factors, real_t<T> tol,
-                        index_t max_rank = -1);
+SvdBatchInfo recompress_batched(
+    std::span<LowRankFactor<T>> factors, real_t<T> tol,
+    index_t max_rank = -1, OnBreakdown on_breakdown = OnBreakdown::kRecover);
 
 namespace detail {
 /// The Householder breakdown rung (same contract as recompress): QR both

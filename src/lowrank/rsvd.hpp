@@ -1,23 +1,16 @@
 #pragma once
 
-#include "common/fault.hpp"
 #include "common/lapack.hpp"
 #include "lowrank/lowrank.hpp"
 
 /// \file rsvd.hpp
 /// Randomized low-rank approximation of dense views (Halko-Martinsson-Tropp
 /// style): a Gaussian range sketch, optional power iterations for spectral
-/// decay, then a small deterministic SVD. Used as an alternative compressor
-/// and by tests as an independent check on ACA.
+/// decay, then a small deterministic SVD. HodlrMatrix::build re-compresses
+/// a block whose ACA stalled through it; tests use it as an independent
+/// check on ACA.
 
 namespace hodlrx {
-
-/// Breakdown counters a batched rsvd sweep hands back to its caller (wired
-/// into the FactorReport by HodlrMatrix::build).
-struct RsvdBreakdowns {
-  index_t svd_nonconverged = 0;  ///< problems past the budget, NOT healed
-  index_t svd_recovered = 0;     ///< problems healed by the serial re-run
-};
 
 struct RsvdOptions {
   index_t rank = 0;          ///< target rank (before truncation)
@@ -25,36 +18,14 @@ struct RsvdOptions {
   int power_iterations = 1;  ///< q in (A A^H)^q A
   std::uint64_t seed = 11;
   double tol = 0;            ///< if > 0, truncate singular values < tol*s[0]
-  /// kRecover lets the batched Jacobi SVD re-run sweep-starved problems
-  /// through the serial path (see jacobi_svd_strided_batched).
-  OnBreakdown on_breakdown = OnBreakdown::kRecover;
-  RsvdBreakdowns* breakdowns = nullptr;  ///< optional out-counters
 };
 
 /// A ~= U diag(s) V^H truncated per options; returned as a LowRankFactor
-/// with the singular values folded into U.
+/// with the singular values folded into U. The sketch width is
+/// min(m, n, rank + oversampling). The range GEMMs run through
+/// gemm_parallel and the orthonormalizations through geqrf_inplace_parallel
+/// and thin_q_inplace_parallel, so one large block uses the whole pool.
 template <typename T>
 LowRankFactor<T> rsvd(ConstMatrixView<T> a, const RsvdOptions& opt);
-
-/// Batched rsvd of `batch` uniform-shape m x n blocks laid out at a constant
-/// stride (block i starts at a + i*stride_a, leading dimension lda) — the
-/// production caller of the batch layer's stride-0 shared-operand fast path:
-/// ALL blocks are sketched against ONE shared Gaussian test matrix G in a
-/// single `gemm_strided_batched` launch (G passed with stride 0, so it is
-/// packed once per launch and reused by every block). The tails are batched
-/// too: orthonormalization and the power iterations run through
-/// geqrf_strided_batched / thin_q_strided_batched (panel-synchronized
-/// batched QR) and strided GEMM launches, the small problems form in one
-/// more strided launch, their SVDs run through the sweep-synchronized
-/// jacobi_svd_strided_batched, and the truncated U_i = Q_i W_ik S_ik
-/// products are one strided GEMM launch — ZERO per-block pool tasks end to
-/// end (svd_stats counter-asserted). Used by HodlrMatrix::build (generator
-/// input, tile-by-tile materialization) and build_from_dense to compress a
-/// uniform tree level in one sweep (paper Sec. III-C / ROADMAP items).
-template <typename T>
-std::vector<LowRankFactor<T>> rsvd_strided_batched(const T* a, index_t lda,
-                                                   index_t stride_a, index_t m,
-                                                   index_t n, index_t batch,
-                                                   const RsvdOptions& opt);
 
 }  // namespace hodlrx

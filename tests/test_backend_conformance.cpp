@@ -92,16 +92,6 @@ MatrixView<T> flat(std::vector<T>& v) {
                        static_cast<index_t>(v.size())};
 }
 
-/// Upper-triangular R (k x n) out of a compact geqrf factor array.
-template <typename T>
-Matrix<T> extract_r(ConstMatrixView<T> f) {
-  const index_t k = std::min(f.rows, f.cols);
-  Matrix<T> r(k, f.cols);
-  for (index_t j = 0; j < f.cols; ++j)
-    for (index_t i = 0; i <= std::min(j, k - 1); ++i) r(i, j) = f(i, j);
-  return r;
-}
-
 template <typename T>
 class BackendTyped : public ::testing::Test {};
 using BackendTypes = ::testing::Types<float, double, std::complex<float>,
@@ -201,66 +191,6 @@ TYPED_TEST(BackendTyped, GemmStridedBatchedMatchesReference) {
                 ConstMatrixView<T>(c_ref.data() + i * stride_c, sh.m, sh.n,
                                    sh.m)),
             conf_tol<T>());
-    }
-  });
-}
-
-TYPED_TEST(BackendTyped, GeqrfAndThinQStridedBatchedMatchReference) {
-  using T = TypeParam;
-  struct Shape {
-    index_t m, n, batch;
-  };
-  const Shape shapes[] = {{1, 1, 2}, {5, 3, 4}, {9, 9, 3}, {24, 7, 5}};
-  for_each_backend([&] {
-    for (const Shape& sh : shapes) {
-      SCOPED_TRACE("m=" + std::to_string(sh.m) + " n=" + std::to_string(sh.n));
-      const index_t kq = std::min(sh.m, sh.n);
-      const index_t stride_a = sh.m * sh.n, stride_tau = kq;
-      std::vector<T> a(static_cast<std::size_t>(stride_a) * sh.batch);
-      Rng rng(91);
-      rng.fill_uniform<T>(flat(a));
-      std::vector<T> a0 = a;  // pristine input
-      std::vector<T> tau(static_cast<std::size_t>(stride_tau) * sh.batch);
-      {
-        Stream s;
-        StreamScope bind(s);
-        geqrf_strided_batched<T>(a.data(), sh.m, stride_a, sh.m, sh.n,
-                                 tau.data(), stride_tau, sh.batch);
-        s.synchronize();
-      }
-      std::vector<T> q = a;  // factored form -> explicit thin Q, in place
-      {
-        Stream s;
-        StreamScope bind(s);
-        thin_q_strided_batched<T>(q.data(), sh.m, stride_a, sh.m, sh.n,
-                                  tau.data(), stride_tau, sh.batch);
-        s.synchronize();
-      }
-      for (index_t i = 0; i < sh.batch; ++i) {
-        const ConstMatrixView<T> fi(a.data() + i * stride_a, sh.m, sh.n,
-                                    sh.m);
-        const ConstMatrixView<T> qi(q.data() + i * stride_a, sh.m, kq, sh.m);
-        const ConstMatrixView<T> ai(a0.data() + i * stride_a, sh.m, sh.n,
-                                    sh.m);
-        // Q has orthonormal columns...
-        Matrix<T> g(kq, kq);
-        gemm<T>(Op::C, Op::N, T{1}, qi, qi, T{0}, g.view());
-        EXPECT_LE(rel_error<T>(g.view(), Matrix<T>::identity(kq).view()),
-                  conf_tol<T>());
-        // ...Q * R reproduces the input...
-        Matrix<T> rec(sh.m, sh.n);
-        gemm<T>(Op::N, Op::N, T{1}, qi, extract_r<T>(fi).view(), T{0},
-                rec.view());
-        EXPECT_LE(rel_error<T>(rec.view(), ai), conf_tol<T>());
-        // ...and matches the serial reference's reconstruction.
-        const QRFactors<T> ref = geqrf_reference<T>(ai);
-        Matrix<T> rec_ref(sh.m, sh.n);
-        gemm<T>(Op::N, Op::N, T{1}, thin_q_reference<T>(ref).view(),
-                extract_r<T>(ref.factors.view()).view(), T{0},
-                rec_ref.view());
-        EXPECT_LE(rel_error<T>(rec.view(), rec_ref.view()),
-                  real_t<T>(2) * conf_tol<T>());
-      }
     }
   });
 }

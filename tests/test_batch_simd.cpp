@@ -12,7 +12,6 @@
 #include "common/lapack.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
-#include "common/thread_pool.hpp"
 #include "test_util.hpp"
 
 /// Property tests of the across-batch SIMD layer (interleave.hpp +
@@ -20,13 +19,11 @@
 ///   - the problem-major <-> lane-major transpose pair round-trips exactly,
 ///     zero-fills dead lanes, absorbs op()/conj during the gather and fuses
 ///     alpha/beta into the scatter,
-///   - the across-batch QR panel, Jacobi sweep and small-GEMM kernels agree
-///     with their per-problem scalar references for all four scalar types,
+///   - the across-batch Jacobi sweep and small-GEMM kernels agree with
+///     their per-problem scalar references for all four scalar types,
 ///   - HODLRX_BATCH_SIMD=1 keeps every across-batch counter at zero (the
 ///     drivers run the untouched per-problem code path) and the strided
-///     drivers produce the same results under both widths,
-///   - vectorized launches keep the engine's launch-shape invariants: same
-///     panel-launch count as the scalar path, no pool thread churn.
+///     drivers produce the same results under both widths.
 ///
 /// This binary owns its environment: tests that touch the resolver start
 /// from a clean slate (all blocking variables unset) and re-resolve through
@@ -75,7 +72,7 @@ real_t<T> tol() {
 }
 
 /// Mixed batch covering the degenerate structures the compressor feeds the
-/// engine (the test_qr_batched recipe): dense random, rank-deficient, zero.
+/// engine: dense random, rank-deficient (duplicated columns), zero.
 template <typename T>
 std::vector<Matrix<T>> make_blocks(index_t m, index_t n, index_t batch,
                                    std::uint64_t seed) {
@@ -221,100 +218,6 @@ TYPED_TEST(BatchSimdTyped, DeinterleaveAxpbyFusesTheUpdate) {
 }
 
 /// --- across-batch kernels vs their scalar references ---------------------
-
-/// Rank-deficient blocks (make_blocks index 2 mod 4) exhaust columns down to
-/// roundoff noise, so their reflector directions legitimately depend on the
-/// summation order — factor equality against the scalar reference is only
-/// well-posed for the other blocks (the test_qr_batched convention).
-inline bool factor_comparable(index_t block_index) {
-  return block_index % 4 != 2;
-}
-
-/// ||Q^H Q - I|| relative deviation from orthonormality.
-template <typename T>
-real_t<T> ortho_error(ConstMatrixView<T> q) {
-  Matrix<T> g(q.cols, q.cols);
-  gemm<T>(Op::C, Op::N, T{1}, q, q, T{0}, g.view());
-  return rel_error<T>(g.view(), Matrix<T>::identity(q.cols).view());
-}
-
-/// Upper-triangular R (k x n) out of a compact factor array.
-template <typename T>
-Matrix<T> extract_r(ConstMatrixView<T> f) {
-  const index_t k = std::min(f.rows, f.cols);
-  Matrix<T> r(k, f.cols);
-  for (index_t j = 0; j < f.cols; ++j)
-    for (index_t i = 0; i <= std::min(j, k - 1); ++i) r(i, j) = f(i, j);
-  return r;
-}
-
-/// The lane-major Householder panel factors every lane exactly like the
-/// scalar geqrf_panel reference — same factors, same taus — including a
-/// partial group with zero-filled dead lanes (which must yield tau = 0).
-/// Rank-deficient lanes are asserted through the well-posed properties
-/// instead: orthonormal Q, and Q R reconstructs the block.
-TYPED_TEST(BatchSimdTyped, GeqrfPanelBatchMatchesScalarPanel) {
-  using T = TypeParam;
-  const index_t shapes[][2] = {{37, 11}, {8, 8}, {20, 1}, {6, 5}};
-  std::uint64_t seed = 2000;
-  for (auto& [m, n] : shapes) {
-    for (index_t w : {index_t{2}, index_t{4}, index_t{8}}) {
-      const index_t nlanes = std::max<index_t>(1, w - 1);
-      std::vector<Matrix<T>> blocks = make_blocks<T>(m, n, nlanes, seed += 7);
-      // Scalar reference, per problem.
-      std::vector<Matrix<T>> ref;
-      std::vector<std::vector<T>> rtau;
-      for (const Matrix<T>& a : blocks) {
-        ref.push_back(to_matrix(a.view()));
-        rtau.emplace_back(std::min(m, n));
-        geqrf_panel<T>(ref.back().view(), rtau.back().data());
-      }
-      // Across-batch path through the lane-major layout.
-      std::vector<const T*> sp;
-      for (const Matrix<T>& a : blocks) sp.push_back(a.view().data);
-      const index_t k = std::min(m, n);
-      std::vector<T> panel(static_cast<std::size_t>(m * n * w), T{});
-      std::vector<T> tau(static_cast<std::size_t>(k * w), T{real_t<T>(9)});
-      batch_interleave<T>(m, n, sp.data(), m, nlanes, w, panel.data());
-      geqrf_panel_batch<T>(m, n, panel.data(), tau.data(), w);
-      std::vector<Matrix<T>> got(nlanes, Matrix<T>(m, n));
-      std::vector<T*> dp;
-      for (Matrix<T>& g : got) dp.push_back(g.view().data);
-      batch_deinterleave<T>(m, n, panel.data(), w, nlanes, dp.data(), m);
-      for (index_t l = 0; l < nlanes; ++l) {
-        if (factor_comparable(l)) {
-          EXPECT_LE(rel_error<T>(got[l].view(), ref[l].view()), tol<T>())
-              << m << "x" << n << " w=" << w << " lane " << l;
-          for (index_t j = 0; j < k; ++j)
-            EXPECT_LE(abs_s(tau[static_cast<std::size_t>(j * w + l)] -
-                            rtau[l][j]),
-                      tol<T>())
-                << m << "x" << n << " w=" << w << " tau[" << j << "] lane "
-                << l;
-        }
-        // Well-posed for every lane: Q is orthonormal and Q R = A.
-        std::vector<T> ltau(static_cast<std::size_t>(k));
-        for (index_t j = 0; j < k; ++j)
-          ltau[static_cast<std::size_t>(j)] =
-              tau[static_cast<std::size_t>(j * w + l)];
-        Matrix<T> q = to_matrix(got[l].view().block(0, 0, m, k));
-        thin_q_panel<T>(q.view(), ltau.data());
-        EXPECT_LE(ortho_error<T>(q.view()), 10 * tol<T>())
-            << m << "x" << n << " w=" << w << " lane " << l;
-        Matrix<T> rec(m, n);
-        gemm<T>(Op::N, Op::N, T{1}, q.view(), extract_r<T>(got[l].view()),
-                T{0}, rec.view());
-        EXPECT_LE(rel_error<T>(rec.view(), blocks[l].view()), 10 * tol<T>())
-            << m << "x" << n << " w=" << w << " lane " << l;
-      }
-      // Dead (zero-filled) lanes must come out as exact no-ops.
-      for (index_t l = nlanes; l < w; ++l)
-        for (index_t j = 0; j < k; ++j)
-          EXPECT_EQ(tau[static_cast<std::size_t>(j * w + l)], T{})
-              << "dead lane " << l;
-    }
-  }
-}
 
 /// One lane-major accumulated-rotation Jacobi sweep matches the scalar
 /// jacobi_sweep_gram reference per lane: same rotated flags, same swept Gram
@@ -509,101 +412,33 @@ TYPED_TEST(BatchSimdTyped, ForcedWidthOneRunsTheScalarPathExactly) {
   env.refresh();
   const index_t m = 24, n = 6, batch = 9;
   std::vector<Matrix<T>> blocks = make_blocks<T>(m, n, batch, 5100);
-  const index_t stride_a = m * n, k = std::min(m, n);
+  const index_t stride_a = m * n;
   std::vector<T> a1(static_cast<std::size_t>(stride_a * batch));
   for (index_t i = 0; i < batch; ++i)
     copy<T>(blocks[i].view(),
             MatrixView<T>{a1.data() + i * stride_a, m, n, m});
-  std::vector<T> a2 = a1;
-  std::vector<T> tau1(static_cast<std::size_t>(k * batch), T{});
-  std::vector<T> tau2 = tau1;
   batch_simd_stats::reset();
-  geqrf_strided_batched<T>(a1.data(), m, stride_a, m, n, tau1.data(), k,
-                           batch);
-  EXPECT_EQ(batch_simd_stats::qr_panel_groups(), 0u);
-  geqrf_strided_batched<T>(a2.data(), m, stride_a, m, n, tau2.data(), k,
-                           batch);
-  EXPECT_EQ(std::memcmp(a1.data(), a2.data(), a1.size() * sizeof(T)), 0)
-      << "scalar fallback must be deterministic";
-  EXPECT_EQ(std::memcmp(tau1.data(), tau2.data(), tau1.size() * sizeof(T)),
-            0);
-  // The tiny-GEMM and Jacobi dispatchers also stay scalar at width 1.
+  // The tiny-GEMM dispatcher stays scalar at width 1.
   std::vector<T> c(static_cast<std::size_t>(4 * batch), T{});
   std::vector<T> g(static_cast<std::size_t>(2 * n), T{real_t<T>(1)});
   gemm_strided_batched<T>(Op::N, Op::N, 2, 2, n, T{1}, a1.data(), m,
                           stride_a, g.data(), n, 0, T{0}, c.data(), 2, 4,
                           batch);
   EXPECT_EQ(batch_simd_stats::gemm_groups(), 0u);
-  std::vector<T> sva = a1;
-  std::vector<real_t<T>> s(static_cast<std::size_t>(n * batch));
-  std::vector<T> v(static_cast<std::size_t>(n * n * batch));
-  jacobi_svd_strided_batched<T>(sva.data(), m, stride_a, m, n, s.data(), n,
-                                v.data(), n, n * n, batch);
+  // So does the Jacobi dispatcher, and two runs are bitwise identical.
+  std::vector<T> a2 = a1;
+  std::vector<real_t<T>> s1(static_cast<std::size_t>(n * batch)), s2 = s1;
+  std::vector<T> v1(static_cast<std::size_t>(n * n * batch)), v2 = v1;
+  jacobi_svd_strided_batched<T>(a1.data(), m, stride_a, m, n, s1.data(), n,
+                                v1.data(), n, n * n, batch);
+  jacobi_svd_strided_batched<T>(a2.data(), m, stride_a, m, n, s2.data(), n,
+                                v2.data(), n, n * n, batch);
   EXPECT_EQ(batch_simd_stats::jacobi_sweep_groups(), 0u);
-}
-
-/// The across-batch QR path produces the same factorization as the forced
-/// scalar path (to tolerance), actually runs vectorized lane groups, keeps
-/// the panel-launch count identical and never grows the pool.
-TYPED_TEST(BatchSimdTyped, GeqrfStridedBatchedAgreesAcrossWidths) {
-  using T = TypeParam;
-  const index_t m = 48, n = 12, batch = 19;
-  std::vector<Matrix<T>> blocks = make_blocks<T>(m, n, batch, 5200);
-  const index_t stride_a = m * n, k = std::min(m, n);
-  std::vector<T> a0(static_cast<std::size_t>(stride_a * batch));
-  for (index_t i = 0; i < batch; ++i)
-    copy<T>(blocks[i].view(),
-            MatrixView<T>{a0.data() + i * stride_a, m, n, m});
-  ScopedBatchEnv env;
-  auto run = [&](const char* width, std::vector<T>& a, std::vector<T>& tau) {
-    ScopedBatchEnv::clear();
-    if (width) env.set("HODLRX_BATCH_SIMD", width);
-    env.refresh();
-    qr_stats::reset();
-    geqrf_strided_batched<T>(a.data(), m, stride_a, m, n, tau.data(), k,
-                             batch);
-    return qr_stats::panel_launches();
-  };
-  std::vector<T> as = a0, av = a0;
-  std::vector<T> taus(static_cast<std::size_t>(k * batch), T{});
-  std::vector<T> tauv = taus;
-  // The scalar run warms the pool, so threads_created is stable after it.
-  const std::uint64_t launches_scalar = run("1", as, taus);
-  batch_simd_stats::reset();
-  const std::uint64_t threads_before = ThreadPool::instance().threads_created();
-  const std::uint64_t launches_simd = run(nullptr, av, tauv);
-  EXPECT_EQ(launches_scalar, launches_simd)
-      << "interleaving lives INSIDE the existing launches";
-  EXPECT_EQ(ThreadPool::instance().threads_created(), threads_before)
-      << "no pool churn from the across-batch path";
-  const index_t width = resolved_blocking<T>().batch_simd_width;
-  if (width > 1 && batch >= width) {
-    EXPECT_GT(batch_simd_stats::qr_panel_groups(), 0u);
-  }
-  for (index_t i = 0; i < batch; ++i) {
-    ConstMatrixView<T> fs{as.data() + i * stride_a, m, n, m};
-    ConstMatrixView<T> fv{av.data() + i * stride_a, m, n, m};
-    if (factor_comparable(i)) {
-      EXPECT_LE(rel_error<T>(fv, fs), tol<T>()) << "problem " << i;
-      for (index_t j = 0; j < k; ++j)
-        EXPECT_LE(abs_s(tauv[static_cast<std::size_t>(i * k + j)] -
-                        taus[static_cast<std::size_t>(i * k + j)]),
-                  tol<T>())
-            << "problem " << i << " tau[" << j << "]";
-    }
-    // Well-posed for every problem (including rank-deficient ones, where
-    // the reflector directions may differ between the two paths): the
-    // vectorized factorization still gives an orthonormal Q with Q R = A.
-    Matrix<T> q = to_matrix(ConstMatrixView<T>{av.data() + i * stride_a, m,
-                                               k, m});
-    thin_q_panel<T>(q.view(), tauv.data() + i * k);
-    EXPECT_LE(ortho_error<T>(q.view()), 10 * tol<T>()) << "problem " << i;
-    Matrix<T> rec(m, n);
-    gemm<T>(Op::N, Op::N, T{1}, q.view(), extract_r<T>(fv), T{0},
-            rec.view());
-    EXPECT_LE(rel_error<T>(rec.view(), blocks[i].view()), 10 * tol<T>())
-        << "problem " << i;
-  }
+  EXPECT_EQ(std::memcmp(a1.data(), a2.data(), a1.size() * sizeof(T)), 0)
+      << "scalar fallback must be deterministic";
+  EXPECT_EQ(std::memcmp(v1.data(), v2.data(), v1.size() * sizeof(T)), 0);
+  EXPECT_EQ(std::memcmp(s1.data(), s2.data(), s1.size() * sizeof(real_t<T>)),
+            0);
 }
 
 /// The across-batch Jacobi sweep converges to the same SVD as the forced

@@ -411,10 +411,11 @@ TYPED_TEST(BlockingTyped, BothTileVariantsCorrect) {
     gemm_packed<T>(Op::N, Op::N, T{2}, a, b, T{1}, c.view());
     Matrix<T> want = gemm_ref<T>(Op::N, Op::N, T{2}, a, b, T{1}, c0.view());
     EXPECT_LE(rel_error(c, want), tol<T>()) << tile << " direct";
-    // Prepacked (batch fast-path) layout under this tile.
-    PackedMatrix<T> bp = pack_b_full<T>(Op::N, b.view());
+    // Prepacked (gemm_parallel's shared A-pack) layout under this tile.
+    PackedMatrix<T> ap;
+    pack_a_full_into<T>(Op::N, a.view(), ap);
     Matrix<T> c2 = to_matrix(c0.view());
-    gemm_prepacked_b<T>(Op::N, T{2}, a, bp, T{1}, c2.view());
+    gemm_prepacked_a<T>(ap, T{2}, Op::N, b, T{1}, c2.view());
     EXPECT_LE(rel_error(c2, want), tol<T>()) << tile << " prepacked";
   }
 }

@@ -216,7 +216,7 @@ TEST(DeviceAllocFault, LaterOccurrenceFiresWhereArmed) {
 }
 
 // ---------------------------------------------------------------------------
-// aca.stall: compression stall -> batched rsvd retry of the block.
+// aca.stall: compression stall -> rsvd retry of the block.
 // ---------------------------------------------------------------------------
 
 TEST(AcaStallFault, ThrowPolicyReproducesLegacyError) {
@@ -278,24 +278,40 @@ TEST(AcaStallFault, ReportPolicyKeepsAchievedRank) {
 // svd.sweeps: batched Jacobi budget exhaustion -> serial re-run at 4x.
 // ---------------------------------------------------------------------------
 
+/// The starved sweep is the first uniform level's batched recompression in
+/// an ACA build: its unconverged cores are re-run serially and reported.
 TEST(SvdSweepsFault, BatchedBuildRecoversThroughSerialRerun) {
   ScopedEnv env("HODLRX_FAULT", "svd.sweeps");
   fault_stats::reset();
-  const index_t n = 128;
+  const index_t n = 256;
   Matrix<double> a = test::smooth_test_matrix<double>(n, 617);
   ClusterTree tree = ClusterTree::uniform(n, 32);
   BuildOptions bopt;
   bopt.tol = 1e-10;
-  bopt.max_rank = 32;
-  bopt.compressor = Compressor::kRsvdBatched;
   FactorReport rep;
   HodlrMatrix<double> h =
       HodlrMatrix<double>::build_from_dense(a, tree, bopt, &rep);
   EXPECT_GT(rep.svd_nonconverged, 0);
   EXPECT_EQ(rep.svd_recovered, rep.svd_nonconverged);
+  EXPECT_FALSE(rep.clean());
+  EXPECT_FALSE(rep.events.empty());
   EXPECT_EQ(fault_stats::injected(Site::kSvdSweeps), 1u);
   EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
   EXPECT_LE(test::rel_error<double>(h.to_dense(), a), 1e-8);
+}
+
+TEST(SvdSweepsFault, ThrowPolicyRaises) {
+  ScopedEnv env("HODLRX_FAULT", "svd.sweeps");
+  fault_stats::reset();
+  const index_t n = 256;
+  Matrix<double> a = test::smooth_test_matrix<double>(n, 617);
+  ClusterTree tree = ClusterTree::uniform(n, 32);
+  BuildOptions bopt;
+  bopt.tol = 1e-10;
+  bopt.on_breakdown = OnBreakdown::kThrow;
+  EXPECT_THROW(HodlrMatrix<double>::build_from_dense(a, tree, bopt), Error);
+  EXPECT_EQ(fault_stats::injected(Site::kSvdSweeps), 1u);
+  EXPECT_EQ(fault_stats::recovered(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -594,18 +610,19 @@ TEST(Acceptance, FullLadderHealsOneBatchedRun) {
   Matrix<double> a = test::smooth_test_matrix<double>(n, 709);
   ClusterTree tree = ClusterTree::uniform(n, 32);
 
-  // ONE kRsvdBatched build + identity-diagonal batched factor + checked
-  // solve, with the SVD-sweep and zero-pivot faults armed. Everything is
-  // healed in-flight: the run reaches tolerance and every injected fault
-  // has a matching recovery.
+  // ONE ACA build + identity-diagonal batched factor + checked solve, with
+  // every site armed. The build trips both the ACA stall (rsvd retry) and
+  // the starved recompression sweep (serial re-run). Everything is healed
+  // in-flight: the run reaches tolerance and every injected fault has a
+  // matching recovery.
   BuildOptions bopt;
   bopt.tol = 1e-10;
-  bopt.max_rank = 32;
-  bopt.compressor = Compressor::kRsvdBatched;
   FactorReport rep;
   HodlrMatrix<double> h =
       HodlrMatrix<double>::build_from_dense(a, tree, bopt, &rep);
+  EXPECT_GE(rep.aca_retries, 1);
   EXPECT_GT(rep.svd_recovered, 0);
+  EXPECT_LE(test::rel_error<double>(h.to_dense(), a), 1e-8);
 
   FactorOptions fopt;
   fopt.mode = ExecMode::kBatched;
@@ -622,15 +639,6 @@ TEST(Acceptance, FullLadderHealsOneBatchedRun) {
   EXPECT_LE(srep.relres, 1e-8);
   EXPECT_LE(test::dense_relres<double>(a, ConstMatrixView<double>(x), b),
             1e-7);
-
-  // The rsvd path never runs ACA, so aca.stall stays armed but silent; a
-  // follow-up ACA build trips it and recovers too.
-  BuildOptions aca;
-  aca.tol = 1e-10;
-  HodlrMatrix<double> h2 =
-      HodlrMatrix<double>::build_from_dense(a, tree, aca, &rep);
-  EXPECT_GE(rep.aca_retries, 1);
-  EXPECT_LE(test::rel_error<double>(h2.to_dense(), a), 1e-8);
 
   // The harness invariant: every injected fault was recovered, nothing
   // recovered that was not injected.

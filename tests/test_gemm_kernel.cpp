@@ -8,7 +8,8 @@
 /// Cross-checks of the packed, register-tiled GEMM engine against a plain
 /// element-accessor reference, over every op pair, all four scalar types,
 /// odd/edge shapes, degenerate alpha/beta, submatrix views with ld > rows,
-/// and the batch layer's shared-operand (stride 0) fast path.
+/// whole-operand A-packs, and strided batches with a shared (stride 0)
+/// operand.
 
 namespace hodlrx {
 namespace {
@@ -141,34 +142,28 @@ TYPED_TEST(GemmKernelTyped, DispatchedGemmMatchesReference) {
   }
 }
 
-/// Prepacked whole-operand multiplies, with k and n crossing the KC/NC
-/// cache-block boundaries so multiple tiles are exercised.
+/// Prepacked whole-A multiplies, with k crossing the KC cache-block boundary
+/// so multiple tiles are exercised, and a second pack into the same slot.
 TYPED_TEST(GemmKernelTyped, PrepackedMatchesReference) {
   using T = TypeParam;
   constexpr index_t KC = GemmBlocking<T>::KC;
   const index_t m = 65, n = 70, k = KC + 44;  // 2 k-tiles
   Matrix<T> a = random_matrix<T>(k, m, 31);  // used as op C -> m x k
   Matrix<T> b = random_matrix<T>(k, n, 32);
-  Matrix<T> c1 = random_matrix<T>(m, n, 33);
-  Matrix<T> c2 = to_matrix(c1.view());
-  Matrix<T> expect = gemm_ref<T>(Op::C, Op::N, T{2}, a, b, T{-1}, c1);
+  Matrix<T> c = random_matrix<T>(m, n, 33);
+  Matrix<T> expect = gemm_ref<T>(Op::C, Op::N, T{2}, a, b, T{-1}, c);
 
-  PackedMatrix<T> bp = pack_b_full<T>(Op::N, b);
-  EXPECT_EQ(bp.rows(), k);
-  EXPECT_EQ(bp.cols(), n);
-  gemm_prepacked_b<T>(Op::C, T{2}, a, bp, T{-1}, c1.view());
-  EXPECT_LE(rel_error(c1, expect), tol<T>());
-
-  PackedMatrix<T> ap = pack_a_full<T>(Op::C, a);
+  PackedMatrix<T> ap;
+  pack_a_full_into<T>(Op::N, b.view().block(0, 0, 3, 5), ap);  // grow later
+  pack_a_full_into<T>(Op::C, a, ap);
   EXPECT_EQ(ap.rows(), m);
   EXPECT_EQ(ap.cols(), k);
-  gemm_prepacked_a<T>(ap, T{2}, Op::N, b, T{-1}, c2.view());
-  EXPECT_LE(rel_error(c2, expect), tol<T>());
+  gemm_prepacked_a<T>(ap, T{2}, Op::N, b, T{-1}, c.view());
+  EXPECT_LE(rel_error(c, expect), tol<T>());
 }
 
 /// Strided-batched with stride_b == 0: every problem multiplies the same B.
-/// Numerics must match per-problem reference gemms AND the shared operand
-/// must be packed exactly once for the whole launch.
+/// Numerics must match per-problem reference gemms.
 TYPED_TEST(GemmKernelTyped, StridedBatchedSharedB) {
   using T = TypeParam;
   const index_t m = 48, n = 40, k = 56, batch = 5;
@@ -179,14 +174,8 @@ TYPED_TEST(GemmKernelTyped, StridedBatchedSharedB) {
   rng.fill_uniform<T>(c.view());
   Matrix<T> c0 = to_matrix(c.view());
 
-  gemm_stats::reset();
   gemm_strided_batched<T>(Op::N, Op::N, m, n, k, T{1}, a.data(), m, m * k,
                           b.data(), k, 0, T{-1}, c.data(), m, m * n, batch);
-  EXPECT_EQ(gemm_stats::shared_packs(), 1u)
-      << "batch-shared B must be packed exactly once per launch";
-  EXPECT_EQ(gemm_stats::b_packs(), 0u)
-      << "no per-problem B packs should happen when B is shared";
-  EXPECT_GE(gemm_stats::a_packs(), static_cast<std::uint64_t>(batch));
 
   for (index_t i = 0; i < batch; ++i) {
     Matrix<T> expect = gemm_ref<T>(
@@ -207,12 +196,9 @@ TYPED_TEST(GemmKernelTyped, StridedBatchedSharedA) {
   Matrix<T> b = random_matrix<T>(k, n * batch, 62);
   Matrix<T> c(m, n * batch);
 
-  gemm_stats::reset();
   gemm_strided_batched<T>(Op::C, Op::N, m, n, k, T{1}, a.data(), k, 0,
                           b.data(), k, k * n, T{0}, c.data(), m, m * n,
                           batch);
-  EXPECT_EQ(gemm_stats::shared_packs(), 1u);
-  EXPECT_EQ(gemm_stats::a_packs(), 0u);
 
   for (index_t i = 0; i < batch; ++i) {
     Matrix<T> expect =

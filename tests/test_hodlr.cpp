@@ -3,11 +3,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "batched/batched_blas.hpp"
-#include "bie/laplace.hpp"
-#include "core/factorization.hpp"
 #include "core/hodlr.hpp"
-#include "core/packed.hpp"
 #include "kernels/kernels.hpp"
 #include "test_util.hpp"
 
@@ -143,74 +139,6 @@ TEST(Hodlr, BytesIsPlausible) {
   HodlrMatrix<double> h = HodlrMatrix<double>::build_from_dense(a, tree, opt);
   EXPECT_GT(h.bytes(), 0u);
   EXPECT_LT(h.bytes(), a.bytes());  // compression actually compresses
-}
-
-/// The generator-backed batched build: a kernel-defined BIE problem (paper
-/// Tables 3-5 class) compressed with Compressor::kRsvdBatched straight from
-/// the MatrixGenerator must (a) never materialize the full dense matrix —
-/// blocks are pulled tile-by-tile — (b) actually run the batched QR tail,
-/// and (c) produce the same factors (and hence the same solve residual) as
-/// the dense-view build, which uses identical sketch seeds.
-TEST(Hodlr, GeneratorRsvdBatchedMatchesDenseViewBuild) {
-  const index_t n = 512;
-  bie::BlobContour contour;
-  bie::ContourDiscretization d = bie::discretize(contour, n);
-  bie::LaplaceExteriorBIE<double> gen(d, {0.0, 0.0});
-  ClusterTree tree = ClusterTree::uniform(n, 64);
-  BuildOptions opt;
-  opt.compressor = Compressor::kRsvdBatched;
-  opt.max_rank = 48;
-  opt.tol = 1e-10;
-  opt.rsvd_power_iterations = 2;
-
-  generator_stats::reset();
-  qr_stats::reset();
-  HodlrMatrix<double> h = HodlrMatrix<double>::build(gen, tree, opt);
-  EXPECT_EQ(generator_stats::full_materializations(), 0u)
-      << "generator-backed batched build must never form the dense matrix";
-  EXPECT_GE(qr_stats::geqrf_batched_sweeps(), 1u)
-      << "the compression tail must run through the batched QR engine";
-  EXPECT_EQ(qr_stats::geqrf_batched_sweeps(), qr_stats::thin_q_batched_sweeps());
-
-  // The dense-view build sees identical block entries and sketch seeds, so
-  // the compressed operators must agree to roundoff.
-  Matrix<double> a = materialize(gen);
-  HodlrMatrix<double> hd = HodlrMatrix<double>::build_from_dense(a, tree, opt);
-  EXPECT_LE(rel_error(h.to_dense(), hd.to_dense()), 1e-9);
-
-  // And so must the solve residuals against the true (uncompressed) operator.
-  auto fg =
-      HodlrFactorization<double>::factor(PackedHodlr<double>::pack(h), {});
-  auto fd =
-      HodlrFactorization<double>::factor(PackedHodlr<double>::pack(hd), {});
-  Matrix<double> b = random_matrix<double>(n, 1, 4242);
-  Matrix<double> xg = fg.solve(b);
-  Matrix<double> xd = fd.solve(b);
-  const double rg = test::dense_relres<double>(a, xg, b);
-  const double rd = test::dense_relres<double>(a, xd, b);
-  EXPECT_LE(rg, 1e-7);
-  EXPECT_NEAR(rg, rd, 1e-9);
-}
-
-/// Non-power-of-two problems hit the non-uniform fallback of the generator
-/// path: still no dense materialization, and the compressed operator must
-/// approximate the kernel matrix.
-TEST(Hodlr, GeneratorRsvdBatchedNonUniformLevels) {
-  const index_t n = 300;
-  bie::BlobContour contour;
-  bie::ContourDiscretization d = bie::discretize(contour, n);
-  bie::LaplaceExteriorBIE<double> gen(d, {0.0, 0.0});
-  ClusterTree tree = ClusterTree::uniform(n, 40);
-  BuildOptions opt;
-  opt.compressor = Compressor::kRsvdBatched;
-  opt.max_rank = 48;
-  opt.tol = 1e-10;
-  opt.rsvd_power_iterations = 2;
-  generator_stats::reset();
-  HodlrMatrix<double> h = HodlrMatrix<double>::build(gen, tree, opt);
-  EXPECT_EQ(generator_stats::full_materializations(), 0u);
-  Matrix<double> a = materialize(gen);
-  EXPECT_LE(rel_error(h.to_dense(), a), 1e-7);
 }
 
 TEST(Hodlr, MismatchedTreeThrows) {

@@ -10,7 +10,6 @@
 #include "bie/contour.hpp"
 #include "bie/helmholtz.hpp"
 #include "bie/laplace.hpp"
-#include "common/gemm_kernel.hpp"
 #include "core/hodlr.hpp"
 #include "lowrank/aca.hpp"
 #include "lowrank/id.hpp"
@@ -234,90 +233,6 @@ TYPED_TEST(LowrankTyped, RsvdTolTruncation) {
   opt.power_iterations = 2;
   LowRankFactor<T> lr = rsvd<T>(a, opt);
   EXPECT_EQ(lr.rank(), r);
-}
-
-TYPED_TEST(LowrankTyped, RsvdStridedBatchedSharedSketchPackOnce) {
-  using T = TypeParam;
-  // Five m x n rank-r blocks laid out side by side (stride m*n, lda = m).
-  const index_t m = 60, n = 60, r = 6, batch = 5;
-  Matrix<T> big(m, n * batch);
-  for (index_t i = 0; i < batch; ++i) {
-    Matrix<T> u = random_matrix<T>(m, r, 700 + i);
-    Matrix<T> v = random_matrix<T>(n, r, 800 + i);
-    gemm<T>(Op::N, Op::C, T{1}, u, v, T{0},
-            big.view().block(0, i * n, m, n));
-  }
-  RsvdOptions opt;
-  opt.rank = 10;
-  opt.tol = 1e-10;
-  opt.power_iterations = 2;
-  gemm_stats::reset();
-  qr_stats::reset();
-  svd_stats::reset();
-  auto factors =
-      rsvd_strided_batched<T>(big.data(), m, m * n, m, n, batch, opt);
-  // The WHOLE sweep sketches against ONE shared Gaussian matrix: exactly one
-  // full pack for the launch, zero per-problem packs of the shared operand.
-  EXPECT_EQ(gemm_stats::shared_packs(), 1u)
-      << "batched rsvd must hit the stride-0 pack-once fast path";
-  // And the QR tail is batched, not per-block pool tasks: one orthonormalize
-  // after the sketch plus two per power iteration, each one geqrf sweep and
-  // one thin-Q sweep.
-  const auto sweeps = static_cast<std::uint64_t>(1 + 2 * opt.power_iterations);
-  EXPECT_EQ(qr_stats::geqrf_batched_sweeps(), sweeps)
-      << "the rsvd QR tail must issue batched geqrf launches";
-  EXPECT_EQ(qr_stats::thin_q_batched_sweeps(), sweeps);
-  // PR 4: the SVD/truncation tail is batched too — ZERO per-block pool
-  // tasks anywhere in the sweep.
-  EXPECT_EQ(svd_stats::batched_sweeps(), 1u)
-      << "the truncation tail must run through the batched Jacobi engine";
-  EXPECT_EQ(svd_stats::serial_svds(), 0u)
-      << "the batched rsvd sweep must perform zero per-block SVD tasks";
-  ASSERT_EQ(factors.size(), static_cast<std::size_t>(batch));
-  for (index_t i = 0; i < batch; ++i) {
-    EXPECT_EQ(factors[i].rank(), r) << "problem " << i;
-    EXPECT_LE(rel_error<T>(factors[i].reconstruct().view(),
-                           big.block(0, i * n, m, n)),
-              1e-8)
-        << "problem " << i;
-  }
-}
-
-TYPED_TEST(LowrankTyped, HodlrBuildFromDenseRsvdBatched) {
-  using T = TypeParam;
-  const index_t n = 256, depth = 3;
-  Matrix<T> a = test::smooth_test_matrix<T>(n, 17);
-  ClusterTree tree = ClusterTree::with_depth(n, depth);
-  BuildOptions opt;
-  opt.compressor = Compressor::kRsvdBatched;
-  opt.max_rank = 64;
-  opt.tol = 1e-10;
-  opt.rsvd_power_iterations = 2;
-  gemm_stats::reset();
-  svd_stats::reset();
-  HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a.view(), tree, opt);
-  // Levels 2 and 3 have >= 2 sibling pairs, so each of their two sweeps
-  // (upper/lower blocks) packs the shared Gaussian exactly once; level 1 is
-  // a batch of one and takes the ordinary path. 2 levels x 2 sweeps = 4.
-  EXPECT_EQ(gemm_stats::shared_packs(), 4u)
-      << "uniform-level sweeps must each pack their shared sketch once";
-  // End-to-end contract of the batched compressor: every sweep's SVD tail
-  // is a batched launch sequence and NO block ever falls back to a serial
-  // per-block jacobi_svd pool task. 3 levels x 2 sweeps = 6.
-  EXPECT_EQ(svd_stats::batched_sweeps(), 6u);
-  EXPECT_EQ(svd_stats::serial_svds(), 0u)
-      << "kRsvdBatched must perform zero per-block SVD pool tasks";
-  EXPECT_LE(rel_error<T>(h.to_dense().view(), a.view()), 1e-7);
-}
-
-TEST(RsvdStridedBatched, DegenerateShapes) {
-  RsvdOptions opt;
-  opt.rank = 4;
-  auto empty = rsvd_strided_batched<double>(nullptr, 0, 0, 0, 0, 3, opt);
-  ASSERT_EQ(empty.size(), 3u);
-  for (const auto& f : empty) EXPECT_EQ(f.rank(), 0);
-  EXPECT_TRUE(rsvd_strided_batched<double>(nullptr, 0, 0, 0, 0, 0, opt)
-                  .empty());
 }
 
 TYPED_TEST(LowrankTyped, RecompressReducesRankKeepsProduct) {
