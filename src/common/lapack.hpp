@@ -127,8 +127,7 @@ template <typename T>
 Matrix<T> thin_q(const QRFactors<T>& qr);
 
 /// The seed's unblocked QR + per-reflector thin Q, kept callable so tests
-/// and benches can cross-check the blocked engine against it (the same role
-/// trsm_left_reference plays for the TRSM engine).
+/// and benches can cross-check the blocked drivers against it.
 template <typename T>
 QRFactors<T> geqrf_reference(ConstMatrixView<T> a);
 template <typename T>

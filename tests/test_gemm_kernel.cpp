@@ -153,8 +153,9 @@ TYPED_TEST(GemmKernelTyped, PrepackedMatchesReference) {
   Matrix<T> c = random_matrix<T>(m, n, 33);
   Matrix<T> expect = gemm_ref<T>(Op::C, Op::N, T{2}, a, b, T{-1}, c);
 
+  // A smaller pack first, so the second one must grow the slot.
   PackedMatrix<T> ap;
-  pack_a_full_into<T>(Op::N, b.view().block(0, 0, 3, 5), ap);  // grow later
+  pack_a_full_into<T>(Op::N, b.view().block(0, 0, 3, 5), ap);
   pack_a_full_into<T>(Op::C, a, ap);
   EXPECT_EQ(ap.rows(), m);
   EXPECT_EQ(ap.cols(), k);
