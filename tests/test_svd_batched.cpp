@@ -372,8 +372,6 @@ void expect_batched_gram_matches_householder(const MatrixGenerator<T>& g,
     }
   }
   EXPECT_EQ(qr_stats::cholesky_fallbacks(), 0u);
-  EXPECT_EQ(qr_stats::panel_launches(), 0u)
-      << "the Gram path must not launch the batched Householder engine";
 }
 
 TEST(SvdBatched, RecompressBatchedGramMatchesHouseholderLaplaceBie) {
