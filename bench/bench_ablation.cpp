@@ -2,10 +2,8 @@
 ///   1. Batched level sweeps vs per-node launches under injected kernel
 ///      launch latency (the launch-amortization argument for the big-matrix
 ///      data structure): we count launches and model GPU-like latencies.
-///   2. Pivoted K (eq. 9) vs the identity-diagonal pivot-free variant.
-///   3. Stream mode vs pure batched mode for the top levels.
-///   4. Single vs double precision (the ~2x claim of Sec. IV-B).
-///   5. Dense LU crossover at small N (the O(N^3) baseline of Sec. I-A).
+///   2. Single vs double precision (the ~2x claim of Sec. IV-B).
+///   3. Dense LU crossover at small N (the O(N^3) baseline of Sec. I-A).
 
 #include "baseline/dense_solver.hpp"
 #include "bench_util.hpp"
@@ -63,56 +61,9 @@ int main(int argc, char** argv) {
     DeviceContext::global().set_launch_latency_us(0.0);
   }
 
-  // --- 2. pivoted vs identity-diagonal K ----------------------------------
+  // --- 2. float vs double -------------------------------------------------
   {
-    std::printf("\n[2] K-matrix formulation (eq. 9 vs reordered variant):\n");
-    for (KForm kform : {KForm::kPivoted, KForm::kIdentityDiagonal}) {
-      FactorOptions opt;
-      opt.kform = kform;
-      double tf = 0, ts = 0;
-      Matrix<double> x;
-      for (int rep = 0; rep < args.repeats; ++rep) {
-        WallTimer t;
-        auto f = HodlrFactorization<double>::factor(p, opt);
-        tf += t.seconds();
-        x = to_matrix(b.view());
-        t.reset();
-        f.solve_inplace(x);
-        ts += t.seconds();
-      }
-      std::printf("    %-18s tf %.4f s   ts %.5f s   relres %.2e\n",
-                  kform == KForm::kPivoted ? "pivoted" : "identity-diagonal",
-                  tf / args.repeats, ts / args.repeats,
-                  bench::hodlr_relres(h, ConstMatrixView<double>(x),
-                                      ConstMatrixView<double>(b)));
-    }
-  }
-
-  // --- 3. stream mode vs batched mode -------------------------------------
-  {
-    std::printf("\n[3] batch policy (paper: streams win on the top levels):\n");
-    for (BatchPolicy pol : {BatchPolicy::kAuto, BatchPolicy::kForceBatched,
-                            BatchPolicy::kForceStream}) {
-      FactorOptions opt;
-      opt.policy = pol;
-      double tf = 0;
-      for (int rep = 0; rep < args.repeats; ++rep) {
-        WallTimer t;
-        auto f = HodlrFactorization<double>::factor(p, opt);
-        tf += t.seconds();
-      }
-      const char* name = pol == BatchPolicy::kAuto
-                             ? "auto (hybrid)"
-                             : (pol == BatchPolicy::kForceBatched
-                                    ? "force batched"
-                                    : "force stream");
-      std::printf("    %-14s tf %.4f s\n", name, tf / args.repeats);
-    }
-  }
-
-  // --- 4. float vs double -------------------------------------------------
-  {
-    std::printf("\n[4] precision (paper Sec. IV-B: ~2x from single):\n");
+    std::printf("\n[2] precision (paper Sec. IV-B: ~2x from single):\n");
     auto [hf, pf] = setup<float>(n, 1e-5);
     auto [hd, pd] = setup<double>(n, 1e-5);
     Matrix<float> bf = random_matrix<float>(n, 1, 31);
@@ -128,9 +79,9 @@ int main(int argc, char** argv) {
                 sd.mem_gb / sf.mem_gb);
   }
 
-  // --- 5. dense crossover --------------------------------------------------
+  // --- 3. dense crossover --------------------------------------------------
   {
-    std::printf("\n[5] dense LU baseline crossover:\n");
+    std::printf("\n[3] dense LU baseline crossover:\n");
     for (index_t nn : {512, 2048, 8192}) {
       auto [hs, ps] = setup<double>(nn, 1e-10);
       Matrix<double> bs = random_matrix<double>(nn, 1, 37);

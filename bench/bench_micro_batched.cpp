@@ -29,6 +29,8 @@
 #include "common/parallel.hpp"
 #include "common/trsm_kernel.hpp"
 #include "lowrank/lowrank.hpp"
+// The seed Jacobi SVD, the baseline of the SVD tail rows (a test oracle).
+#include "../tests/reference/lapack_reference.hpp"
 
 using namespace hodlrx;
 

@@ -186,24 +186,6 @@ void getrf_batched(std::span<const MatrixView<T>> a,
 }
 
 template <typename T>
-void getrf_nopivot_batched(std::span<const MatrixView<T>> a,
-                           BatchPolicy policy) {
-  const index_t batch = static_cast<index_t>(a.size());
-  if (batch == 0) return;
-  DeviceContext::global().record_launch();
-  index_t total_work = 0;
-  for (index_t i = 0; i < batch; ++i) {
-    const index_t p = std::min(a[i].rows, a[i].cols);
-    total_work += p * p * p / 3;
-  }
-  if (use_stream_mode(policy, batch, total_work)) {
-    for (index_t i = 0; i < batch; ++i) getrf_nopivot_parallel(a[i]);
-  } else {
-    parallel_for_static(batch, [&](index_t i) { getrf_nopivot(a[i]); });
-  }
-}
-
-template <typename T>
 void trsm_batched(Uplo uplo, Diag diag, std::span<const ConstMatrixView<T>> a,
                   std::span<const MatrixView<T>> b, BatchPolicy policy) {
   HODLRX_REQUIRE(a.size() == b.size(), "trsm_batched: batch mismatch");
@@ -257,25 +239,6 @@ void getrs_batched(std::span<const ConstMatrixView<T>> lu,
   } else {
     parallel_for_static(batch,
                         [&](index_t i) { getrs(lu[i], ipiv[i], b[i]); });
-  }
-}
-
-template <typename T>
-void getrs_nopivot_batched(std::span<const ConstMatrixView<T>> lu,
-                           std::span<const MatrixView<T>> b,
-                           BatchPolicy policy) {
-  HODLRX_REQUIRE(lu.size() == b.size(), "getrs_nopivot_batched: batch mismatch");
-  const index_t batch = static_cast<index_t>(b.size());
-  if (batch == 0) return;
-  DeviceContext::global().record_launch();
-  index_t total_work = 0;
-  for (index_t i = 0; i < batch; ++i)
-    total_work += lu[i].rows * lu[i].rows * b[i].cols;
-  if (use_stream_mode(policy, batch, total_work)) {
-    for (index_t i = 0; i < batch; ++i) getrs_nopivot_parallel(lu[i], b[i]);
-  } else {
-    parallel_for_static(batch,
-                        [&](index_t i) { getrs_nopivot(lu[i], b[i]); });
   }
 }
 
@@ -491,13 +454,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
     info.nonconverged = static_cast<index_t>(active.size());
     svd_stats::detail::add_nonconverged(
         static_cast<std::uint64_t>(active.size()));
-#ifndef NDEBUG
-    HODLRX_REQUIRE(false, "jacobi_svd_strided_batched: "
-                              << info.nonconverged << " of " << batch
-                              << " problem(s) not converged after "
-                              << info.sweeps
-                              << " sweeps (raise HODLRX_SVD_SWEEPS)");
-#endif
   }
   // Finalize launch: sort by descending singular value and normalize U.
   DeviceContext::global().record_launch();
@@ -520,8 +476,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
       BatchPolicy);                                                          \
   template void getrf_batched<T>(std::span<const MatrixView<T>>,             \
                                  std::span<index_t* const>, BatchPolicy);    \
-  template void getrf_nopivot_batched<T>(std::span<const MatrixView<T>>,     \
-                                         BatchPolicy);                       \
   template void trsm_batched<T>(Uplo, Diag,                                  \
                                 std::span<const ConstMatrixView<T>>,         \
                                 std::span<const MatrixView<T>>, BatchPolicy);\
@@ -529,9 +483,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                                  std::span<const index_t* const>,            \
                                  std::span<const MatrixView<T>>,             \
                                  BatchPolicy);                               \
-  template void getrs_nopivot_batched<T>(std::span<const ConstMatrixView<T>>,\
-                                         std::span<const MatrixView<T>>,     \
-                                         BatchPolicy);                       \
   template SvdBatchInfo jacobi_svd_strided_batched<T>(                       \
       T*, index_t, index_t, index_t, index_t, real_t<T>*, index_t, T*,       \
       index_t, index_t, index_t, bool);

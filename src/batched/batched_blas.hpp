@@ -57,11 +57,6 @@ void getrf_batched(std::span<const MatrixView<T>> a,
                    std::span<index_t* const> ipiv,
                    BatchPolicy policy = BatchPolicy::kAuto);
 
-/// In-place batched LU without pivoting (identity-diagonal K variant).
-template <typename T>
-void getrf_nopivot_batched(std::span<const MatrixView<T>> a,
-                           BatchPolicy policy = BatchPolicy::kAuto);
-
 /// Batched triangular solve B_i <- A_i^{-1} B_i (left side, no transpose),
 /// all problems sharing uplo/diag — the stand-in for cuBLAS `trsmBatched`.
 /// Batched mode runs one blocked solve per pool slot (per-thread workspaces
@@ -80,12 +75,6 @@ void getrs_batched(std::span<const ConstMatrixView<T>> lu,
                    std::span<const index_t* const> ipiv,
                    std::span<const MatrixView<T>> b,
                    BatchPolicy policy = BatchPolicy::kAuto);
-
-/// Batched LU solve without pivoting.
-template <typename T>
-void getrs_nopivot_batched(std::span<const ConstMatrixView<T>> lu,
-                           std::span<const MatrixView<T>> b,
-                           BatchPolicy policy = BatchPolicy::kAuto);
 
 /// QR counters (relaxed atomics, process-wide).
 namespace qr_stats {
@@ -107,8 +96,10 @@ inline std::uint64_t panel_launches() { return 0; }
 
 /// Result of one batched Jacobi run: sweeps executed (shared across the
 /// batch — the drivers are sweep-synchronized) and the number of problems
-/// that exhausted the sweep budget (also counted in svd_stats and
-/// HODLRX_REQUIREd in debug, like the serial driver).
+/// that exhausted the sweep budget (also counted in svd_stats). The driver
+/// never throws on them: the caller's breakdown policy decides
+/// (recompress_batched throws under OnBreakdown::kThrow and keeps the
+/// unconverged factors under kReport).
 struct SvdBatchInfo {
   int sweeps = 0;
   index_t nonconverged = 0;  ///< problems still unconverged on return
@@ -139,7 +130,7 @@ struct SvdBatchInfo {
 /// reference serial sweep loop with a 4x budget BEFORE the finalize pass;
 /// healed problems are counted in SvdBatchInfo::recovered (and
 /// fault_stats::recovered). Only problems still unconverged after the
-/// re-run count as nonconverged / trip the debug assert.
+/// re-run count as nonconverged.
 template <typename T>
 SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                                         index_t m, index_t n, real_t<T>* s,

@@ -7,10 +7,9 @@
 ///
 /// Every recovery path in the library (the "recovery ladder": ACA stall ->
 /// rsvd retry of the materialized block, sweep exhaustion in the batched
-/// recompression SVD -> serial re-run with a larger budget, zero pivot in
-/// getrf_nopivot -> pivoted refactor, workspace growth failure ->
-/// drop-and-retry) guards a numerical event that healthy inputs never
-/// trigger. This registry makes those events reproducible:
+/// recompression SVD -> serial re-run with a larger budget, workspace
+/// growth failure -> drop-and-retry) guards a numerical event that healthy
+/// inputs never trigger. This registry makes those events reproducible:
 /// `HODLRX_FAULT=site[:nth]` (comma-separated) arms a named injection site,
 /// and the site fires on exactly the nth occurrence check (default: the
 /// first). The environment is reread on every check — the same convention as
@@ -20,15 +19,16 @@
 
 namespace hodlrx {
 
-/// What to do when a numerical breakdown is detected (zero pivot, SVD sweep
-/// exhaustion, ACA stall, failed post-solve residual check).
+/// What to do when a numerical breakdown is detected (SVD sweep exhaustion,
+/// ACA stall, non-finite values, failed post-solve residual check). An
+/// exact zero pivot in the pivoted LU leaves no usable factor and throws
+/// under every policy.
 enum class OnBreakdown {
   kThrow,    ///< raise hodlrx::Error exactly as the pre-resilience code did
   kRecover,  ///< run the recovery ladder; record the action in the report
-  kReport,   ///< record the breakdown and keep the degraded result where one
-             ///< exists (achieved-rank ACA factor, unconverged SVD factors,
-             ///< unrefined solution); breakdowns that leave NO usable state
-             ///< (a half-factored LU block) still throw
+  kReport,   ///< record the breakdown and keep the degraded result
+             ///< (achieved-rank ACA factor, unconverged SVD factors,
+             ///< unrefined solution)
 };
 
 namespace fault {
@@ -36,8 +36,7 @@ namespace fault {
 /// Named injection sites. The string forms (site_name) are what
 /// HODLRX_FAULT matches against.
 enum class Site : int {
-  kGetrfPivot = 0,  ///< "getrf.pivot": getrf_nopivot hits a zero pivot
-  kSvdSweeps,       ///< "svd.sweeps": batched Jacobi sweep budget forced to 1
+  kSvdSweeps = 0,   ///< "svd.sweeps": batched Jacobi sweep budget forced to 1
   kAcaStall,        ///< "aca.stall": aca() stalls after two crosses
   kWorkspaceAlloc,  ///< "workspace.alloc": WorkspaceArena growth throws once
   kDeviceAlloc,     ///< "device.alloc": Backend::allocate throws once

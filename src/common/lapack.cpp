@@ -8,7 +8,6 @@
 #include "common/blocking.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
 #include "common/flops.hpp"
 #include "common/parallel.hpp"
 #include "common/trsm_kernel.hpp"
@@ -42,25 +41,6 @@ void getrf_unblocked(MatrixView<T> a, index_t* ipiv) {
     // Scale the subdiagonal of column k, then rank-1 update the trailing
     // block; both loops run down contiguous columns.
     const T pivot = a(k, k);
-    T* __restrict__ ck = a.data + k * a.ld;
-    for (index_t i = k + 1; i < m; ++i) ck[i] /= pivot;
-    for (index_t j = k + 1; j < n; ++j) {
-      const T akj = a(k, j);
-      if (akj == T{}) continue;
-      T* __restrict__ cj = a.data + j * a.ld;
-      for (index_t i = k + 1; i < m; ++i) cj[i] -= ck[i] * akj;
-    }
-  }
-}
-
-template <typename T>
-void getrf_nopivot_unblocked(MatrixView<T> a) {
-  const index_t m = a.rows, n = a.cols;
-  const index_t kmax = std::min(m, n);
-  for (index_t k = 0; k < kmax; ++k) {
-    const T pivot = a(k, k);
-    HODLRX_REQUIRE(abs_s(pivot) > real_t<T>{0},
-                   "getrf_nopivot: zero pivot at column " << k);
     T* __restrict__ ck = a.data + k * a.ld;
     for (index_t i = k + 1; i < m; ++i) ck[i] /= pivot;
     for (index_t j = k + 1; j < n; ++j) {
@@ -112,36 +92,6 @@ void getrf_blocked(MatrixView<T> a, index_t* ipiv) {
       trsm_left(Uplo::Lower, Diag::Unit, a.block(k, k, nb, nb),
                 a.block(k, k + nb, nb, n - (k + nb)));
       // A22 <- A22 - A21 * A12
-      if (k + nb < m) {
-        ConstMatrixView<T> a21(a.block(k + nb, k, m - (k + nb), nb));
-        ConstMatrixView<T> a12(a.block(k, k + nb, nb, n - (k + nb)));
-        MatrixView<T> a22 = a.block(k + nb, k + nb, m - (k + nb), n - (k + nb));
-        if constexpr (Parallel) {
-          gemm_parallel(Op::N, Op::N, T{-1}, a21, a12, T{1}, a22);
-        } else {
-          gemm(Op::N, Op::N, T{-1}, a21, a12, T{1}, a22);
-        }
-      }
-    }
-  }
-}
-
-/// Blocked right-looking LU without pivoting (same structure, no swaps).
-template <typename T, bool Parallel>
-void getrf_nopivot_blocked(MatrixView<T> a) {
-  const index_t m = a.rows, n = a.cols;
-  const index_t kmax = std::min(m, n);
-  constexpr index_t kBlock = 64;
-  if (kmax <= kBlock) {
-    getrf_nopivot_unblocked(a);
-    return;
-  }
-  for (index_t k = 0; k < kmax; k += kBlock) {
-    const index_t nb = std::min(kBlock, kmax - k);
-    getrf_nopivot_unblocked(a.block(k, k, m - k, nb));
-    if (k + nb < n) {
-      trsm_left(Uplo::Lower, Diag::Unit, a.block(k, k, nb, nb),
-                a.block(k, k + nb, nb, n - (k + nb)));
       if (k + nb < m) {
         ConstMatrixView<T> a21(a.block(k + nb, k, m - (k + nb), nb));
         ConstMatrixView<T> a12(a.block(k, k + nb, nb, n - (k + nb)));
@@ -239,26 +189,6 @@ void getrf_parallel(MatrixView<T> a, index_t* ipiv) {
 }
 
 template <typename T>
-void getrf_nopivot(MatrixView<T> a) {
-  if (std::min(a.rows, a.cols) == 0) return;
-  HODLRX_REQUIRE(!fault::should_fire(fault::Site::kGetrfPivot),
-                 "getrf_nopivot: zero pivot at column 0 (injected fault)");
-  GrowthScan<T> growth(a);
-  getrf_nopivot_blocked<T, false>(a);
-  add_getrf_flops<T>(a.rows, a.cols);
-}
-
-template <typename T>
-void getrf_nopivot_parallel(MatrixView<T> a) {
-  if (std::min(a.rows, a.cols) == 0) return;
-  HODLRX_REQUIRE(!fault::should_fire(fault::Site::kGetrfPivot),
-                 "getrf_nopivot: zero pivot at column 0 (injected fault)");
-  GrowthScan<T> growth(a);
-  getrf_nopivot_blocked<T, true>(a);
-  add_getrf_flops<T>(a.rows, a.cols);
-}
-
-template <typename T>
 void laswp(MatrixView<T> b, const index_t* ipiv, index_t npiv, bool forward) {
   if (forward) {
     for (index_t k = 0; k < npiv; ++k) {
@@ -300,27 +230,11 @@ void getrs(NoDeduce<ConstMatrixView<T>> lu, const index_t* ipiv,
 }
 
 template <typename T>
-void getrs_nopivot(NoDeduce<ConstMatrixView<T>> lu, MatrixView<T> b) {
-  HODLRX_REQUIRE(lu.rows == lu.cols && lu.rows == b.rows,
-                 "getrs_nopivot: shape mismatch");
-  trsm_left(Uplo::Lower, Diag::Unit, lu, b);
-  trsm_left(Uplo::Upper, Diag::NonUnit, lu, b);
-}
-
-template <typename T>
 void getrs_parallel(NoDeduce<ConstMatrixView<T>> lu, const index_t* ipiv,
                     MatrixView<T> b) {
   HODLRX_REQUIRE(lu.rows == lu.cols && lu.rows == b.rows,
                  "getrs_parallel: shape mismatch");
   laswp(b, ipiv, lu.rows, /*forward=*/true);
-  trsm_left_parallel<T>(Uplo::Lower, Diag::Unit, lu, b);
-  trsm_left_parallel<T>(Uplo::Upper, Diag::NonUnit, lu, b);
-}
-
-template <typename T>
-void getrs_nopivot_parallel(NoDeduce<ConstMatrixView<T>> lu, MatrixView<T> b) {
-  HODLRX_REQUIRE(lu.rows == lu.cols && lu.rows == b.rows,
-                 "getrs_nopivot_parallel: shape mismatch");
   trsm_left_parallel<T>(Uplo::Lower, Diag::Unit, lu, b);
   trsm_left_parallel<T>(Uplo::Upper, Diag::NonUnit, lu, b);
 }
@@ -424,7 +338,7 @@ std::uint64_t blocked_qr_internal_flops(index_t m, index_t kmax,
 
 /// Unblocked Householder QR, in place: R in the upper triangle, reflectors
 /// below the diagonal, `tau[0..min(m,n))` scalars. The panel kernel of the
-/// blocked drivers and the seed reference path (geqrf_reference).
+/// blocked drivers.
 template <typename T>
 void geqrf_panel(MatrixView<T> a, T* tau) {
   const index_t m = a.rows, n = a.cols;
@@ -634,30 +548,6 @@ Matrix<T> thin_q(const QRFactors<T>& qr) {
   const index_t k = static_cast<index_t>(qr.tau.size());
   Matrix<T> q = to_matrix(qr.factors.block(0, 0, m, k));
   thin_q_inplace<T>(q.view(), qr.tau.data());
-  return q;
-}
-
-template <typename T>
-QRFactors<T> geqrf_reference(ConstMatrixView<T> a) {
-  QRFactors<T> qr;
-  qr.factors = to_matrix(a);
-  const index_t m = a.rows, n = a.cols;
-  const index_t kmax = std::min(m, n);
-  qr.tau.assign(kmax, T{});
-  geqrf_panel<T>(qr.factors, qr.tau.data());
-  add_geqrf_flops<T>(m, n, 0);
-  return qr;
-}
-
-template <typename T>
-Matrix<T> thin_q_reference(const QRFactors<T>& qr) {
-  const index_t m = qr.factors.rows();
-  const index_t k = static_cast<index_t>(qr.tau.size());
-  Matrix<T> q(m, k);
-  for (index_t j = 0; j < k; ++j) q(j, j) = T{1};
-  ConstMatrixView<T> f = qr.factors;
-  for (index_t j = k - 1; j >= 0; --j)
-    apply_householder<T>(f, j, qr.tau[j], q.block(0, 0, m, k));
   return q;
 }
 
@@ -1003,76 +893,6 @@ SVDResult<T> jacobi_svd(ConstMatrixView<T> a) {
 }
 
 template <typename T>
-SVDResult<T> jacobi_svd_reference(ConstMatrixView<T> a) {
-  using R = real_t<T>;
-  if (a.rows == 0 || a.cols == 0) return {};
-  // Work on a tall copy: if a is wide, factor a^H and swap U <-> V.
-  const bool flip = a.rows < a.cols;
-  Matrix<T> w = flip ? transpose(a, /*conjugate=*/true) : to_matrix(a);
-  const index_t m = w.rows(), n = w.cols();
-  Matrix<T> v = Matrix<T>::identity(n);
-
-  SVDResult<T> out;
-  const R tol = R{32} * eps_v<T>;
-  const int max_sweeps = svd_max_sweeps();
-  bool rotated = n > 1;
-  while (rotated && out.sweeps < max_sweeps) {
-    rotated = false;
-    ++out.sweeps;
-    for (index_t p = 0; p < n - 1; ++p) {
-      for (index_t q = p + 1; q < n; ++q) {
-        T* __restrict__ wp = w.data() + p * m;
-        T* __restrict__ wq = w.data() + q * m;
-        R alpha{}, beta{};
-        T gamma{};
-        for (index_t i = 0; i < m; ++i) {
-          alpha += abs2_s(wp[i]);
-          beta += abs2_s(wq[i]);
-          gamma += conj_s(wp[i]) * wq[i];
-        }
-        const R g = abs_s(gamma);
-        if (g <= tol * std::sqrt(alpha * beta) || g == R{0}) continue;
-        rotated = true;
-        // Phase so that the rotated off-diagonal is real, then a real
-        // Jacobi rotation (c, s_r).
-        const T phase = gamma / T{g};
-        const R zeta = (beta - alpha) / (R{2} * g);
-        const R t = (zeta >= R{0} ? R{1} : R{-1}) /
-                    (std::abs(zeta) + std::sqrt(R{1} + zeta * zeta));
-        const R c = R{1} / std::sqrt(R{1} + t * t);
-        const R sr = c * t;
-        const T s = phase * T{sr};
-        for (index_t i = 0; i < m; ++i) {
-          const T xp = wp[i], xq = wq[i];
-          wp[i] = T{c} * xp - conj_s(s) * xq;
-          wq[i] = s * xp + T{c} * xq;
-        }
-        T* __restrict__ vp = v.data() + p * n;
-        T* __restrict__ vq = v.data() + q * n;
-        for (index_t i = 0; i < n; ++i) {
-          const T xp = vp[i], xq = vq[i];
-          vp[i] = T{c} * xp - conj_s(s) * xq;
-          vq[i] = s * xp + T{c} * xq;
-        }
-      }
-    }
-  }
-  out.converged = !rotated;
-  if (!out.converged) svd_stats::detail::add_nonconverged(1);
-
-  out.s.resize(n);
-  jacobi_finalize<T>(w.view(), v.view(), out.s.data());
-  if (flip) {
-    out.u = std::move(v);
-    out.v = std::move(w);
-  } else {
-    out.u = std::move(w);
-    out.v = std::move(v);
-  }
-  return out;
-}
-
-template <typename T>
 Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
   Matrix<T> lu = to_matrix(a);
   std::vector<index_t> ipiv(a.rows);
@@ -1085,17 +905,11 @@ Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
 #define HODLRX_INSTANTIATE_LAPACK(T)                                        \
   template void getrf<T>(MatrixView<T>, index_t*);                          \
   template void getrf_parallel<T>(MatrixView<T>, index_t*);                 \
-  template void getrf_nopivot<T>(MatrixView<T>);                            \
-  template void getrf_nopivot_parallel<T>(MatrixView<T>);                   \
   template void laswp<T>(MatrixView<T>, const index_t*, index_t, bool);     \
   template void getrs<T>(NoDeduce<ConstMatrixView<T>>, const index_t*,     \
                          MatrixView<T>);                                    \
-  template void getrs_nopivot<T>(NoDeduce<ConstMatrixView<T>>,              \
-                                 MatrixView<T>);                            \
   template void getrs_parallel<T>(NoDeduce<ConstMatrixView<T>>,             \
                                   const index_t*, MatrixView<T>);           \
-  template void getrs_nopivot_parallel<T>(NoDeduce<ConstMatrixView<T>>,     \
-                                          MatrixView<T>);                   \
   template void trsm_left<T>(Uplo, Diag, NoDeduce<ConstMatrixView<T>>,      \
                              MatrixView<T>);                                \
   template void geqrf_inplace<T>(MatrixView<T>, T*);                        \
@@ -1104,8 +918,6 @@ Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
   template void thin_q_inplace_parallel<T>(MatrixView<T>, const T*);        \
   template QRFactors<T> geqrf<T>(ConstMatrixView<T>);                       \
   template Matrix<T> thin_q<T>(const QRFactors<T>&);                        \
-  template QRFactors<T> geqrf_reference<T>(ConstMatrixView<T>);             \
-  template Matrix<T> thin_q_reference<T>(const QRFactors<T>&);              \
   template Matrix<T> r_factor<T>(const QRFactors<T>&);                      \
   template index_t potrf_upper<T>(MatrixView<T>, NoDeduce<real_t<T>>);      \
   template CPQRFactors<T> geqp3<T>(ConstMatrixView<T>, NoDeduce<real_t<T>>,  \
@@ -1117,7 +929,6 @@ Matrix<T> dense_solve(ConstMatrixView<T> a, NoDeduce<ConstMatrixView<T>> b) {
   template SvdInfo jacobi_svd_inplace<T>(MatrixView<T>, MatrixView<T>,      \
                                          real_t<T>*);                       \
   template SVDResult<T> jacobi_svd<T>(ConstMatrixView<T>);                  \
-  template SVDResult<T> jacobi_svd_reference<T>(ConstMatrixView<T>);        \
   template Matrix<T> dense_solve<T>(ConstMatrixView<T>,                    \
                                     NoDeduce<ConstMatrixView<T>>);
 

@@ -12,7 +12,9 @@
 /// LAPACK-like dense factorizations on column-major views: partially pivoted
 /// LU (blocked), triangular solves, Householder QR, column-pivoted QR, and a
 /// one-sided Jacobi SVD for small matrices. These are the primitives behind
-/// both the serial solvers and the batched device engine.
+/// both the serial solvers and the batched device engine. The seed's
+/// unblocked QR and Jacobi SVD, which tests check the blocked drivers
+/// against, live in tests/reference/lapack_reference.hpp.
 
 namespace hodlrx {
 
@@ -31,15 +33,6 @@ void getrf(MatrixView<T> a, index_t* ipiv);
 template <typename T>
 void getrf_parallel(MatrixView<T> a, index_t* ipiv);
 
-/// In-place LU without pivoting; throws on a zero pivot. Used by the
-/// identity-diagonal K-matrix variant (paper Sec. III-C, last paragraph).
-template <typename T>
-void getrf_nopivot(MatrixView<T> a);
-
-/// getrf_nopivot with a gemm_parallel trailing update (stream-mode LU).
-template <typename T>
-void getrf_nopivot_parallel(MatrixView<T> a);
-
 /// Apply the row interchanges recorded in `ipiv[0..npiv)` to B
 /// (forward=true: same order as factorization; false: inverse order).
 template <typename T>
@@ -52,20 +45,12 @@ template <typename T>
 void getrs(NoDeduce<ConstMatrixView<T>> lu, const index_t* ipiv,
            MatrixView<T> b);
 
-/// Solve A X = B in place given getrf_nopivot output.
-template <typename T>
-void getrs_nopivot(NoDeduce<ConstMatrixView<T>> lu, MatrixView<T> b);
-
 /// getrs with intra-problem parallelism: pivots applied once, then the
 /// blocked L/U solves run with the RHS columns split across the persistent
 /// pool. The batched engine's "stream mode" solve for few, large problems.
 template <typename T>
 void getrs_parallel(NoDeduce<ConstMatrixView<T>> lu, const index_t* ipiv,
                     MatrixView<T> b);
-
-/// getrs_nopivot with pool-parallel blocked solves (stream-mode solve).
-template <typename T>
-void getrs_nopivot_parallel(NoDeduce<ConstMatrixView<T>> lu, MatrixView<T> b);
 
 /// Triangular solve (left side, no transpose): B <- op(A)^{-1} B. Dispatches
 /// into the blocked TRSM engine above the diagonal-block size (see
@@ -125,13 +110,6 @@ QRFactors<T> geqrf(const Matrix<T>& a) {
 /// Explicit thin Q (m x min(m,n)) from geqrf output.
 template <typename T>
 Matrix<T> thin_q(const QRFactors<T>& qr);
-
-/// The seed's unblocked QR + per-reflector thin Q, kept callable so tests
-/// and benches can cross-check the blocked drivers against it.
-template <typename T>
-QRFactors<T> geqrf_reference(ConstMatrixView<T> a);
-template <typename T>
-Matrix<T> thin_q_reference(const QRFactors<T>& qr);
 
 /// Explicit R factor (min(m,n) x n upper triangular) from geqrf output.
 template <typename T>
@@ -347,14 +325,6 @@ template <typename T>
 SVDResult<T> jacobi_svd(const Matrix<T>& a) {
   return jacobi_svd(a.view());
 }
-
-/// The seed's one-sided Jacobi (per-pair scalar dot products), kept
-/// callable as fallback, test oracle and bench baseline — the same role
-/// geqrf_reference plays for the QR engine. Unlike the seed it reports
-/// sweeps/converged instead of silently returning garbage on sweep
-/// exhaustion.
-template <typename T>
-SVDResult<T> jacobi_svd_reference(ConstMatrixView<T> a);
 
 /// Dense solve helper: X = A^{-1} B (A copied, LU-factorized internally).
 template <typename T>

@@ -45,8 +45,7 @@ struct FactorEngine {
       k.r2 = 2 * p.level_rank[l + 1];
       k.count = index_t{1} << l;
       k.data.assign(static_cast<std::size_t>(k.count) * k.r2 * k.r2, T{});
-      if (opt.kform == KForm::kPivoted)
-        k.ipiv.assign(static_cast<std::size_t>(k.count) * k.r2, 0);
+      k.ipiv.assign(static_cast<std::size_t>(k.count) * k.r2, 0);
     }
 
     // Device accounting: the packed data crosses the link once; the
@@ -56,28 +55,11 @@ struct FactorEngine {
     return f;
   }
 
-  // Engine entry points (factor_serial.cpp / factor_batched.cpp). The
-  // factor stages take the (optional) report for breakdown bookkeeping.
-  static void run_factor_serial(F& f, FactorReport* report);
-  static void run_factor_batched(F& f, FactorReport* report);
+  // Engine entry points (factor_serial.cpp / factor_batched.cpp).
+  static void run_factor_serial(F& f);
+  static void run_factor_batched(F& f);
   static void run_solve_serial(const F& f, MatrixView<T> b);
   static void run_solve_batched(const F& f, MatrixView<T> b);
-
-  /// Lazily allocate the pivot storage a K level needs when its pivot-free
-  /// LU broke down and (some of) its blocks get re-factored with pivoting.
-  static void ensure_pivot_storage(LevelK& k) {
-    if (k.ipiv.empty())
-      k.ipiv.assign(static_cast<std::size_t>(k.count) * k.r2, 0);
-    if (k.pivoted.empty())
-      k.pivoted.assign(static_cast<std::size_t>(k.count), 0);
-  }
-
-  /// Whether block `k` of the level must be solved with pivots (either the
-  /// whole level uses the pivoted K form, or this block was individually
-  /// re-factored by the recovery ladder).
-  static bool block_pivoted(const LevelK& klev, bool pivoted, index_t k) {
-    return pivoted || (!klev.pivoted.empty() && klev.pivoted[k] != 0);
-  }
 
   // --- shared view helpers ------------------------------------------------
   static index_t depth(const F& f) { return f.tree_.depth(); }
@@ -107,17 +89,12 @@ struct FactorEngine {
     return f.d_ipiv_.data() + f.tree_.node(f.tree_.leaf(j)).begin;
   }
 
-  /// Fill the identity blocks of one K matrix (eq. 11); `r` is the padded
-  /// child rank. Pivoted form: identities off-diagonal; identity-diagonal
-  /// form: identities on the diagonal.
-  static void fill_k_identities(MatrixView<T> kk, index_t r, KForm form) {
-    if (form == KForm::kPivoted) {
-      for (index_t i = 0; i < r; ++i) {
-        kk(i, r + i) = T{1};
-        kk(r + i, i) = T{1};
-      }
-    } else {
-      for (index_t i = 0; i < 2 * r; ++i) kk(i, i) = T{1};
+  /// Fill the off-diagonal identity blocks of one K matrix (eq. 11); `r` is
+  /// the padded child rank.
+  static void fill_k_identities(MatrixView<T> kk, index_t r) {
+    for (index_t i = 0; i < r; ++i) {
+      kk(i, r + i) = T{1};
+      kk(r + i, i) = T{1};
     }
   }
 };

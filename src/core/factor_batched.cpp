@@ -1,10 +1,7 @@
 #include <algorithm>
 #include <complex>
-#include <string>
 #include <vector>
 
-#include "common/error.hpp"
-#include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "core/engine_detail.hpp"
 
@@ -12,22 +9,43 @@
 /// The batched execution engine: Algorithm 3 (factorization stage) and
 /// Algorithm 4 (solution stage). Every line of the paper's pseudocode maps
 /// to one or two batched device calls:
-///   BATCHED-LU-FACTORIZE  -> getrf_batched / getrf_nopivot_batched
-///   BATCHED-LU-SOLVE      -> getrs_batched / getrs_nopivot_batched
+///   BATCHED-LU-FACTORIZE  -> getrf_batched (partial pivoting)
+///   BATCHED-LU-SOLVE      -> getrs_batched
 ///                            (blocked TRSM engine underneath: pivots applied
 ///                            once, register-tiled diagonal solves, packed
 ///                            GEMM trailing updates — see trsm_kernel.hpp)
 ///   BATCHED-GEMM          -> gemm_batched, or gemm_strided_batched when the
 ///                            level's node sizes are uniform (Sec. III-C).
+/// Every launch places itself (batched or stream mode) with
+/// BatchPolicy::kAuto.
 
 namespace hodlrx::detail {
 
+namespace {
+
+/// Line 9 of Algorithm 3 and line 5 of Algorithm 4: one batched pivoted
+/// solve per level, block k of the level against the r2 x cols block of W
+/// at row k * r2.
+template <typename T, typename LevelK>
+void solve_k_level(const LevelK& klev, T* wdata, index_t ldw, index_t cols) {
+  const index_t q = klev.count, r2 = klev.r2;
+  std::vector<ConstMatrixView<T>> lu(q);
+  std::vector<const index_t*> piv(q);
+  std::vector<MatrixView<T>> rhs(q);
+  for (index_t k = 0; k < q; ++k) {
+    lu[k] = klev.block(k);
+    piv[k] = klev.pivots(k);
+    rhs[k] = MatrixView<T>{wdata + k * r2, r2, cols, ldw};
+  }
+  getrs_batched<T>(lu, piv, rhs);
+}
+
+}  // namespace
+
 template <typename T>
-void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
+void FactorEngine<T>::run_factor_batched(F& f) {
   const ClusterTree& tree = f.tree_;
   const index_t L = depth(f);
-  const BatchPolicy policy = f.opt_.policy;
-  const bool pivoted = f.opt_.kform == KForm::kPivoted;
   MatrixView<T> ybig = FactorEngine<T>::ybig(f);
   ConstMatrixView<T> vbig = f.vbig();
   const T* vdata = vbig.data;
@@ -44,7 +62,7 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
       d[j] = leaf_lu(f, j);
       piv[j] = leaf_pivots(f, j);
     }
-    getrf_batched<T>(d, piv, policy);
+    getrf_batched<T>(d, piv);
     if (f.total_cols_ > 0) {
       std::vector<ConstMatrixView<T>> lu(leaves);
       std::vector<const index_t*> cpiv(leaves);
@@ -55,7 +73,7 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
         const ClusterNode& c = tree.node(tree.leaf(j));
         rhs[j] = ybig.block(c.begin, 0, c.size(), f.total_cols_);
       }
-      getrs_batched<T>(lu, cpiv, rhs, policy);
+      getrs_batched<T>(lu, cpiv, rhs);
     }
   }
 
@@ -85,21 +103,18 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
     T* kdata = klev.data.data();
     const index_t kstride = r2 * r2;
 
-    // Line 5 + 7: T blocks written straight into the K storage.
-    // Pivoted:  T_a -> K(0,0), T_b -> K(r,r).  Identity-diagonal:
-    // T_b -> K(0,r), T_a -> K(r,0).
-    const index_t off_ta = pivoted ? 0 : r;                    // (0,0) / (r,0)
-    const index_t off_tb = pivoted ? (r * r2 + r) : (r * r2);  // (r,r) / (0,r)
+    // Line 5 + 7: T blocks written straight into the K storage,
+    // T_a -> K(0,0) and T_b -> K(r,r).
     if (uniform) {
       // left children: begins 2k*s; right children: (2k+1)*s.
       gemm_strided_batched<T>(Op::C, Op::N, r, r, s, T{1},
                               vdata + panel * ldv, ldv, 2 * s,
-                              ydata + panel * ldy, ldy, 2 * s, T{0},
-                              kdata + off_ta, r2, kstride, q, policy);
+                              ydata + panel * ldy, ldy, 2 * s, T{0}, kdata,
+                              r2, kstride, q);
       gemm_strided_batched<T>(Op::C, Op::N, r, r, s, T{1},
                               vdata + s + panel * ldv, ldv, 2 * s,
                               ydata + s + panel * ldy, ldy, 2 * s, T{0},
-                              kdata + off_tb, r2, kstride, q, policy);
+                              kdata + r * r2 + r, r2, kstride, q);
     } else {
       std::vector<ConstMatrixView<T>> av(c), bv(c);
       std::vector<MatrixView<T>> cv(c);
@@ -112,62 +127,25 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
         MatrixView<T> kk = klev.block(k);
         av[2 * k] = vbig.block(cav.begin, panel, cav.size(), r);
         bv[2 * k] = ybig.block(cav.begin, panel, cav.size(), r);
-        cv[2 * k] = pivoted ? kk.block(0, 0, r, r) : kk.block(r, 0, r, r);
+        cv[2 * k] = kk.block(0, 0, r, r);
         av[2 * k + 1] = vbig.block(cbv.begin, panel, cbv.size(), r);
         bv[2 * k + 1] = ybig.block(cbv.begin, panel, cbv.size(), r);
-        cv[2 * k + 1] = pivoted ? kk.block(r, r, r, r) : kk.block(0, r, r, r);
+        cv[2 * k + 1] = kk.block(r, r, r, r);
       }
-      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv, policy);
+      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv);
     }
     // Identity blocks of K (cheap elementwise pass).
-    parallel_for(q, [&](index_t k) {
-      fill_k_identities(klev.block(k), r, f.opt_.kform);
-    });
+    parallel_for(q, [&](index_t k) { fill_k_identities(klev.block(k), r); });
 
     // Line 8: batched LU of all K_gamma at this level.
     {
       std::vector<MatrixView<T>> kb(q);
-      for (index_t k = 0; k < q; ++k) kb[k] = klev.block(k);
-      if (pivoted) {
-        std::vector<index_t*> piv(q);
-        for (index_t k = 0; k < q; ++k) piv[k] = klev.pivots(k);
-        getrf_batched<T>(kb, piv, policy);
-      } else if (f.opt_.on_breakdown == OnBreakdown::kThrow) {
-        getrf_nopivot_batched<T>(kb, policy);
-      } else {
-        // Pivot-free batched LU can break down (exact zero pivot). A
-        // failure leaves the WHOLE level's blocks half-factored, so the
-        // recovery ladder snapshots the level, restores it and re-factors
-        // every block WITH pivoting in one batched call (the kb views stay
-        // valid — the data vector is copied into, not reassigned). Under
-        // kReport the breakdown is recorded and rethrown.
-        const std::vector<T> snap(klev.data);
-        try {
-          getrf_nopivot_batched<T>(kb, policy);
-        } catch (const Error& e) {
-          if (report != nullptr) {
-            ++report->lu_breakdowns;
-            report->events.push_back(
-                "factor: batched pivot-free LU broke down on level " +
-                std::to_string(l) + " (" + e.what() + ")");
-          }
-          if (f.opt_.on_breakdown != OnBreakdown::kRecover) throw;
-          std::copy(snap.begin(), snap.end(), klev.data.begin());
-          ensure_pivot_storage(klev);
-          std::vector<index_t*> piv(q);
-          for (index_t k = 0; k < q; ++k) piv[k] = klev.pivots(k);
-          getrf_batched<T>(kb, piv, policy);
-          std::fill(klev.pivoted.begin(), klev.pivoted.end(), 1);
-          fault_stats::detail::add_recovered(fault::Site::kGetrfPivot);
-          if (report != nullptr) {
-            report->lu_pivot_retries += q;
-            report->events.push_back(
-                "factor: level " + std::to_string(l) + " (" +
-                std::to_string(q) + " K block(s)) re-factored with partial "
-                "pivoting");
-          }
-        }
+      std::vector<index_t*> piv(q);
+      for (index_t k = 0; k < q; ++k) {
+        kb[k] = klev.block(k);
+        piv[k] = klev.pivots(k);
       }
+      getrf_batched<T>(kb, piv);
     }
 
     if (panel == 0) continue;
@@ -175,18 +153,10 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
     // Line 6: W = (V^{l+1})^H (.) Ybig(:, prefix), block rows per child.
     T* wdata = wbuf.data();
     const index_t ldw = c * r;
-    if (uniform && pivoted) {
+    if (uniform) {
       gemm_strided_batched<T>(Op::C, Op::N, r, panel, s, T{1},
                               vdata + panel * ldv, ldv, s, ydata, ldy, s,
-                              T{0}, wdata, ldw, r, c, policy);
-    } else if (uniform) {  // identity-diagonal: swap the block rows
-      gemm_strided_batched<T>(Op::C, Op::N, r, panel, s, T{1},
-                              vdata + s + panel * ldv, ldv, 2 * s,
-                              ydata + s, ldy, 2 * s, T{0}, wdata, ldw,
-                              2 * r, q, policy);
-      gemm_strided_batched<T>(Op::C, Op::N, r, panel, s, T{1},
-                              vdata + panel * ldv, ldv, 2 * s, ydata, ldy,
-                              2 * s, T{0}, wdata + r, ldw, 2 * r, q, policy);
+                              T{0}, wdata, ldw, r, c);
     } else {
       std::vector<ConstMatrixView<T>> av(c), bv(c);
       std::vector<MatrixView<T>> cv(c);
@@ -199,42 +169,21 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
         av[2 * k + 1] = vbig.block(cbv.begin, panel, cbv.size(), r);
         bv[2 * k + 1] =
             ConstMatrixView<T>(ydata + cbv.begin, cbv.size(), panel, ldy);
-        const index_t row_a = pivoted ? 2 * k * r : (2 * k + 1) * r;
-        const index_t row_b = pivoted ? (2 * k + 1) * r : 2 * k * r;
-        cv[2 * k] = MatrixView<T>{wdata + row_a, r, panel, ldw};
-        cv[2 * k + 1] = MatrixView<T>{wdata + row_b, r, panel, ldw};
+        cv[2 * k] = MatrixView<T>{wdata + 2 * k * r, r, panel, ldw};
+        cv[2 * k + 1] = MatrixView<T>{wdata + (2 * k + 1) * r, r, panel, ldw};
       }
-      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv, policy);
+      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv);
     }
 
-    // Line 9: batched K solve, one 2r x panel block per parent. Blocks the
-    // recovery ladder re-factored with pivots are grouped into their own
-    // batched call (at most two launches per level).
-    {
-      std::vector<ConstMatrixView<T>> lu_p, lu_n;
-      std::vector<const index_t*> piv_p;
-      std::vector<MatrixView<T>> rhs_p, rhs_n;
-      for (index_t k = 0; k < q; ++k) {
-        MatrixView<T> rhs{wdata + 2 * k * r, r2, panel, ldw};
-        if (block_pivoted(klev, pivoted, k)) {
-          lu_p.push_back(klev.block(k));
-          piv_p.push_back(klev.pivots(k));
-          rhs_p.push_back(rhs);
-        } else {
-          lu_n.push_back(klev.block(k));
-          rhs_n.push_back(rhs);
-        }
-      }
-      if (!lu_p.empty()) getrs_batched<T>(lu_p, piv_p, rhs_p, policy);
-      if (!lu_n.empty()) getrs_nopivot_batched<T>(lu_n, rhs_n, policy);
-    }
+    // Line 9: batched K solve, one 2r x panel block per parent.
+    solve_k_level(klev, wdata, ldw, panel);
 
-    // Line 10: prefix update, one block per child (solution order is
-    // [w_a; w_b] for both K forms).
+    // Line 10: prefix update, one block per child (solution rows
+    // [w_a; w_b]).
     if (uniform) {
       gemm_strided_batched<T>(Op::N, Op::N, s, panel, r, T{-1},
                               ydata + panel * ldy, ldy, s, wdata, ldw, r,
-                              T{1}, ydata, ldy, s, c, policy);
+                              T{1}, ydata, ldy, s, c);
     } else {
       std::vector<ConstMatrixView<T>> av(c), bv(c);
       std::vector<MatrixView<T>> cv(c);
@@ -245,7 +194,7 @@ void FactorEngine<T>::run_factor_batched(F& f, FactorReport* report) {
         bv[t] = ConstMatrixView<T>(wdata + t * r, r, panel, ldw);
         cv[t] = ybig.block(cn.begin, 0, cn.size(), panel);
       }
-      gemm_batched<T>(Op::N, Op::N, T{-1}, av, bv, T{1}, cv, policy);
+      gemm_batched<T>(Op::N, Op::N, T{-1}, av, bv, T{1}, cv);
     }
   }
 }
@@ -254,8 +203,6 @@ template <typename T>
 void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
   const ClusterTree& tree = f.tree_;
   const index_t L = depth(f);
-  const BatchPolicy policy = f.opt_.policy;
-  const bool pivoted = f.opt_.kform == KForm::kPivoted;
   ConstMatrixView<T> ybig = FactorEngine<T>::ybig(f);
   ConstMatrixView<T> vbig = f.vbig();
   const T* vdata = vbig.data;
@@ -278,7 +225,7 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
       const ClusterNode& cn = tree.node(tree.leaf(j));
       rhs[j] = x.block(cn.begin, 0, cn.size(), nrhs);
     }
-    getrs_batched<T>(lu, piv, rhs, policy);
+    getrs_batched<T>(lu, piv, rhs);
   }
 
   // As in the factorization stage: one W workspace for all levels.
@@ -297,7 +244,6 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
     const index_t panel = f.col_offset_[l + 1];
     const index_t q = klev.count;
     const index_t c = 2 * q;
-    const index_t r2 = klev.r2;
     // The strided launches below are ld-aware (problem i is a row block at
     // element offset i*s or i*2s of the SAME columns, addressed with x.ld),
     // so a submatrix RHS view (x.ld > x.rows) stays on the uniform fast
@@ -310,18 +256,10 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
     const index_t ldw = c * r;
 
     // Line 4: w = (V^{l+1})^H (.) x^{l+1}.
-    if (uniform && pivoted) {
+    if (uniform) {
       gemm_strided_batched<T>(Op::C, Op::N, r, nrhs, s, T{1},
                               vdata + panel * ldv, ldv, s, x.data, x.ld, s,
-                              T{0}, wdata, ldw, r, c, policy);
-    } else if (uniform) {
-      gemm_strided_batched<T>(Op::C, Op::N, r, nrhs, s, T{1},
-                              vdata + s + panel * ldv, ldv, 2 * s,
-                              x.data + s, x.ld, 2 * s, T{0}, wdata, ldw,
-                              2 * r, q, policy);
-      gemm_strided_batched<T>(Op::C, Op::N, r, nrhs, s, T{1},
-                              vdata + panel * ldv, ldv, 2 * s, x.data, x.ld,
-                              2 * s, T{0}, wdata + r, ldw, 2 * r, q, policy);
+                              T{0}, wdata, ldw, r, c);
     } else {
       std::vector<ConstMatrixView<T>> av(c), bv(c);
       std::vector<MatrixView<T>> cv(c);
@@ -333,40 +271,20 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
         bv[2 * k] = ConstMatrixView<T>(x.block(ca.begin, 0, ca.size(), nrhs));
         av[2 * k + 1] = vbig.block(cb.begin, panel, cb.size(), r);
         bv[2 * k + 1] = ConstMatrixView<T>(x.block(cb.begin, 0, cb.size(), nrhs));
-        const index_t row_a = pivoted ? 2 * k * r : (2 * k + 1) * r;
-        const index_t row_b = pivoted ? (2 * k + 1) * r : 2 * k * r;
-        cv[2 * k] = MatrixView<T>{wdata + row_a, r, nrhs, ldw};
-        cv[2 * k + 1] = MatrixView<T>{wdata + row_b, r, nrhs, ldw};
+        cv[2 * k] = MatrixView<T>{wdata + 2 * k * r, r, nrhs, ldw};
+        cv[2 * k + 1] = MatrixView<T>{wdata + (2 * k + 1) * r, r, nrhs, ldw};
       }
-      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv, policy);
+      gemm_batched<T>(Op::C, Op::N, T{1}, av, bv, T{0}, cv);
     }
 
-    // Line 5: batched K solve (recovered-pivoted blocks grouped into their
-    // own batched call, as in the factorization stage).
-    {
-      std::vector<ConstMatrixView<T>> lu_p, lu_n;
-      std::vector<const index_t*> piv_p;
-      std::vector<MatrixView<T>> rhs_p, rhs_n;
-      for (index_t k = 0; k < q; ++k) {
-        MatrixView<T> rhs{wdata + 2 * k * r, r2, nrhs, ldw};
-        if (block_pivoted(klev, pivoted, k)) {
-          lu_p.push_back(klev.block(k));
-          piv_p.push_back(klev.pivots(k));
-          rhs_p.push_back(rhs);
-        } else {
-          lu_n.push_back(klev.block(k));
-          rhs_n.push_back(rhs);
-        }
-      }
-      if (!lu_p.empty()) getrs_batched<T>(lu_p, piv_p, rhs_p, policy);
-      if (!lu_n.empty()) getrs_nopivot_batched<T>(lu_n, rhs_n, policy);
-    }
+    // Line 5: batched K solve.
+    solve_k_level(klev, wdata, ldw, nrhs);
 
     // Line 6: x^{l+1} -= Y^{l+1} (.) w^{l+1}.
     if (uniform) {
       gemm_strided_batched<T>(Op::N, Op::N, s, nrhs, r, T{-1},
                               ydata + panel * ldy, ldy, s, wdata, ldw, r,
-                              T{1}, x.data, x.ld, s, c, policy);
+                              T{1}, x.data, x.ld, s, c);
     } else {
       std::vector<ConstMatrixView<T>> av(c), bv(c);
       std::vector<MatrixView<T>> cv(c);
@@ -377,14 +295,14 @@ void FactorEngine<T>::run_solve_batched(const F& f, MatrixView<T> x) {
         bv[t] = ConstMatrixView<T>(wdata + t * r, r, nrhs, ldw);
         cv[t] = x.block(cn.begin, 0, cn.size(), nrhs);
       }
-      gemm_batched<T>(Op::N, Op::N, T{-1}, av, bv, T{1}, cv, policy);
+      gemm_batched<T>(Op::N, Op::N, T{-1}, av, bv, T{1}, cv);
     }
   }
 }
 
 #define HODLRX_INSTANTIATE_BATCHED_ENGINE(T)                              \
   template void FactorEngine<T>::run_factor_batched(                     \
-      HodlrFactorization<T>&, FactorReport*);                            \
+      HodlrFactorization<T>&);                                           \
   template void FactorEngine<T>::run_solve_batched(                      \
       const HodlrFactorization<T>&, MatrixView<T>);
 

@@ -1,10 +1,5 @@
-#include <algorithm>
 #include <complex>
-#include <string>
-#include <vector>
 
-#include "common/error.hpp"
-#include "common/fault.hpp"
 #include "core/engine_detail.hpp"
 
 /// \file factor_serial.cpp
@@ -17,12 +12,11 @@
 namespace hodlrx::detail {
 
 template <typename T>
-void FactorEngine<T>::run_factor_serial(F& f, FactorReport* report) {
+void FactorEngine<T>::run_factor_serial(F& f) {
   const ClusterTree& tree = f.tree_;
   const index_t L = depth(f);
   MatrixView<T> ybig = FactorEngine<T>::ybig(f);
   ConstMatrixView<T> vbig = f.vbig();
-  const bool pivoted = f.opt_.kform == KForm::kPivoted;
 
   // --- Algorithm 1, lines 2-5: leaf LU + leaf solves against all panels ---
   for (index_t j = 0; j < tree.num_leaves(); ++j) {
@@ -54,74 +48,23 @@ void FactorEngine<T>::run_factor_serial(F& f, FactorReport* report) {
       ConstMatrixView<T> yb = ybig.block(cb.begin, panel, cb.size(), r);
       MatrixView<T> kk = klev.block(k);
 
-      // Form and factor K_gamma (eq. 11 / the identity-diagonal variant).
-      if (pivoted) {
-        gemm(Op::C, Op::N, T{1}, va, ya, T{0}, kk.block(0, 0, r, r));
-        gemm(Op::C, Op::N, T{1}, vb, yb, T{0}, kk.block(r, r, r, r));
-        fill_k_identities(kk, r, KForm::kPivoted);
-        getrf(kk, klev.pivots(k));
-      } else {
-        gemm(Op::C, Op::N, T{1}, vb, yb, T{0}, kk.block(0, r, r, r));
-        gemm(Op::C, Op::N, T{1}, va, ya, T{0}, kk.block(r, 0, r, r));
-        fill_k_identities(kk, r, KForm::kIdentityDiagonal);
-        if (f.opt_.on_breakdown == OnBreakdown::kThrow) {
-          getrf_nopivot(kk);
-        } else {
-          // Pivot-free LU can break down (exact zero pivot). Snapshot the
-          // assembled K so the recovery ladder can re-factor it WITH
-          // pivoting; under kReport a failed LU has no usable state, so the
-          // breakdown is recorded and rethrown.
-          const T* src = klev.data.data() + k * klev.r2 * klev.r2;
-          std::vector<T> snap(src, src + klev.r2 * klev.r2);
-          try {
-            getrf_nopivot(kk);
-          } catch (const Error& e) {
-            if (report != nullptr) {
-              ++report->lu_breakdowns;
-              report->events.push_back(
-                  "factor: pivot-free LU broke down on K block " +
-                  std::to_string(k) + " of level " + std::to_string(l) +
-                  " (" + e.what() + ")");
-            }
-            if (f.opt_.on_breakdown != OnBreakdown::kRecover) throw;
-            std::copy(snap.begin(), snap.end(),
-                      klev.data.data() + k * klev.r2 * klev.r2);
-            ensure_pivot_storage(klev);
-            getrf(kk, klev.pivots(k));
-            klev.pivoted[k] = 1;
-            fault_stats::detail::add_recovered(fault::Site::kGetrfPivot);
-            if (report != nullptr) {
-              ++report->lu_pivot_retries;
-              report->events.push_back(
-                  "factor: K block " + std::to_string(k) + " of level " +
-                  std::to_string(l) + " re-factored with partial pivoting");
-            }
-          }
-        }
-      }
+      // Form and factor K_gamma (eq. 11).
+      gemm(Op::C, Op::N, T{1}, va, ya, T{0}, kk.block(0, 0, r, r));
+      gemm(Op::C, Op::N, T{1}, vb, yb, T{0}, kk.block(r, r, r, r));
+      fill_k_identities(kk, r);
+      getrf(kk, klev.pivots(k));
 
       if (panel == 0) continue;  // level 0: no prefix to update
-      // Right-hand sides (13); the identity-diagonal form swaps the blocks.
+      // Right-hand sides (13).
       MatrixView<T> wv = w.block(0, 0, klev.r2, panel);
       MatrixView<T> ya_pre = ybig.block(ca.begin, 0, ca.size(), panel);
       MatrixView<T> yb_pre = ybig.block(cb.begin, 0, cb.size(), panel);
-      if (pivoted) {
-        gemm(Op::C, Op::N, T{1}, va, ConstMatrixView<T>(ya_pre), T{0},
-             wv.block(0, 0, r, panel));
-        gemm(Op::C, Op::N, T{1}, vb, ConstMatrixView<T>(yb_pre), T{0},
-             wv.block(r, 0, r, panel));
-        getrs(ConstMatrixView<T>(kk), klev.pivots(k), wv);
-      } else {
-        gemm(Op::C, Op::N, T{1}, vb, ConstMatrixView<T>(yb_pre), T{0},
-             wv.block(0, 0, r, panel));
-        gemm(Op::C, Op::N, T{1}, va, ConstMatrixView<T>(ya_pre), T{0},
-             wv.block(r, 0, r, panel));
-        if (block_pivoted(klev, /*pivoted=*/false, k))
-          getrs(ConstMatrixView<T>(kk), klev.pivots(k), wv);
-        else
-          getrs_nopivot(ConstMatrixView<T>(kk), wv);
-      }
-      // Update (14); the solution rows are [w_a; w_b] in both forms.
+      gemm(Op::C, Op::N, T{1}, va, ConstMatrixView<T>(ya_pre), T{0},
+           wv.block(0, 0, r, panel));
+      gemm(Op::C, Op::N, T{1}, vb, ConstMatrixView<T>(yb_pre), T{0},
+           wv.block(r, 0, r, panel));
+      getrs(ConstMatrixView<T>(kk), klev.pivots(k), wv);
+      // Update (14) with the solution rows [w_a; w_b].
       gemm(Op::N, Op::N, T{-1}, ya, ConstMatrixView<T>(wv.block(0, 0, r, panel)),
            T{1}, ya_pre);
       gemm(Op::N, Op::N, T{-1}, yb, ConstMatrixView<T>(wv.block(r, 0, r, panel)),
@@ -136,7 +79,6 @@ void FactorEngine<T>::run_solve_serial(const F& f, MatrixView<T> x) {
   const index_t L = depth(f);
   ConstMatrixView<T> ybig = FactorEngine<T>::ybig(f);
   ConstMatrixView<T> vbig = f.vbig();
-  const bool pivoted = f.opt_.kform == KForm::kPivoted;
   const index_t nrhs = x.cols;
 
   // --- Algorithm 2, lines 2-4: leaf solves ---
@@ -168,22 +110,11 @@ void FactorEngine<T>::run_solve_serial(const F& f, MatrixView<T> x) {
       MatrixView<T> xb = x.block(cb.begin, 0, cb.size(), nrhs);
       MatrixView<T> wv = w;
 
-      if (pivoted) {
-        gemm(Op::C, Op::N, T{1}, va, ConstMatrixView<T>(xa), T{0},
-             wv.block(0, 0, r, nrhs));
-        gemm(Op::C, Op::N, T{1}, vb, ConstMatrixView<T>(xb), T{0},
-             wv.block(r, 0, r, nrhs));
-        getrs(klev.block(k), klev.pivots(k), wv);
-      } else {
-        gemm(Op::C, Op::N, T{1}, vb, ConstMatrixView<T>(xb), T{0},
-             wv.block(0, 0, r, nrhs));
-        gemm(Op::C, Op::N, T{1}, va, ConstMatrixView<T>(xa), T{0},
-             wv.block(r, 0, r, nrhs));
-        if (block_pivoted(klev, /*pivoted=*/false, k))
-          getrs(klev.block(k), klev.pivots(k), wv);
-        else
-          getrs_nopivot(klev.block(k), wv);
-      }
+      gemm(Op::C, Op::N, T{1}, va, ConstMatrixView<T>(xa), T{0},
+           wv.block(0, 0, r, nrhs));
+      gemm(Op::C, Op::N, T{1}, vb, ConstMatrixView<T>(xb), T{0},
+           wv.block(r, 0, r, nrhs));
+      getrs(klev.block(k), klev.pivots(k), wv);
       gemm(Op::N, Op::N, T{-1}, ya, ConstMatrixView<T>(wv.block(0, 0, r, nrhs)),
            T{1}, xa);
       gemm(Op::N, Op::N, T{-1}, yb, ConstMatrixView<T>(wv.block(r, 0, r, nrhs)),
@@ -194,7 +125,7 @@ void FactorEngine<T>::run_solve_serial(const F& f, MatrixView<T> x) {
 
 #define HODLRX_INSTANTIATE_SERIAL(T)                                     \
   template void FactorEngine<T>::run_factor_serial(                      \
-      HodlrFactorization<T>&, FactorReport*);                            \
+      HodlrFactorization<T>&);                                           \
   template void FactorEngine<T>::run_solve_serial(                       \
       const HodlrFactorization<T>&, MatrixView<T>);
 

@@ -35,21 +35,12 @@ HodlrFactorization<T> HodlrFactorization<T>::factor(
   if (report != nullptr) lu_stats::reset();
   HodlrFactorization<T> f = detail::FactorEngine<T>::stage(packed, opt);
   if (opt.mode == ExecMode::kSerial)
-    detail::FactorEngine<T>::run_factor_serial(f, report);
+    detail::FactorEngine<T>::run_factor_serial(f);
   else
-    detail::FactorEngine<T>::run_factor_batched(f, report);
+    detail::FactorEngine<T>::run_factor_batched(f);
   if (report != nullptr)
     report->max_pivot_growth =
         std::max(report->max_pivot_growth, lu_stats::max_pivot_growth());
-  // The recovery ladder may have grown the factorization (pivot storage for
-  // re-factored K blocks): re-register the device allocation so the memory
-  // accounting keeps matching device_bytes().
-  if (opt.kform != KForm::kPivoted)
-    for (const LevelK& k : f.kfac_)
-      if (!k.ipiv.empty()) {
-        f.device_mem_ = DeviceAllocation(f.device_bytes());
-        break;
-      }
   if (check_finite_enabled()) {
     using Engine = detail::FactorEngine<T>;
     index_t bad = count_nonfinite<T>(Engine::ybig(f)) +

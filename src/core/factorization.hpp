@@ -34,14 +34,12 @@ class HodlrFactorization {
   /// packed data is "copied to the device" (transfer recorded), then
   /// factorized on the device. The U and leaf copies run as pool launches.
   ///
-  /// Breakdown handling follows opt.on_breakdown: a zero pivot in the
-  /// pivot-free K form (KForm::kIdentityDiagonal) throws under kThrow (the
-  /// pre-resilience behavior), is recovered under kRecover by re-factoring
-  /// the affected K block(s) WITH partial pivoting (the solves then
-  /// dispatch per block), and is recorded-then-rethrown under kReport (a
-  /// failed LU leaves no usable factor). A non-null `report` additionally
+  /// The leaf blocks and every K matrix of eq. (11) are factored with
+  /// partially pivoted LU; an exact zero pivot leaves no usable factor and
+  /// throws under every opt.on_breakdown policy. A non-null `report`
   /// enables pivot-growth tracking (max_pivot_growth) and — with
-  /// HODLRX_CHECK_FINITE — a NaN/Inf scan of the factors.
+  /// HODLRX_CHECK_FINITE — a NaN/Inf scan of the factors, which
+  /// opt.on_breakdown governs.
   static HodlrFactorization factor(const PackedHodlr<T>& packed,
                                    const FactorOptions& opt = {},
                                    FactorReport* report = nullptr);
@@ -103,12 +101,7 @@ class HodlrFactorization {
     index_t r2 = 0;
     index_t count = 0;
     std::vector<T> data;
-    std::vector<index_t> ipiv;  ///< empty for the pivot-free K form
-    /// Per-block recovery flags (kIdentityDiagonal only): 1 marks a block
-    /// whose pivot-free LU broke down and was re-factored WITH pivoting;
-    /// the solves dispatch getrs vs getrs_nopivot per block. Empty (the
-    /// common case) means every block follows the level's K form.
-    std::vector<char> pivoted;
+    std::vector<index_t> ipiv;  ///< r2 pivots per block
 
     MatrixView<T> block(index_t k) {
       return {data.data() + k * r2 * r2, r2, r2, r2};

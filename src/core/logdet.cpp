@@ -7,9 +7,8 @@
 /// Log-determinant from the stored factorization (paper Sec. III-E a):
 /// det(A) = prod_leaves det(D_a) * prod_gamma det(B_gamma), where B_gamma is
 /// the 2x2-block identity-plus-low-rank factor and, by Sylvester's identity,
-/// det(B_gamma) = det(I - T_a T_b) = (-1)^r det(K_gamma) for the pivoted K
-/// form (r = padded child rank) and det(B_gamma) = det(K'_gamma) for the
-/// identity-diagonal form. All determinants come from the LU diagonals.
+/// det(B_gamma) = det(I - T_a T_b) = (-1)^r det(K_gamma) (r = padded child
+/// rank). All determinants come from the pivoted LU diagonals.
 
 namespace hodlrx {
 
@@ -24,7 +23,7 @@ void accumulate_lu_det(ConstMatrixView<T> lu, const index_t* ipiv,
     const real_t<T> a = abs_s(ukk);
     log_abs += std::log(a);
     phase *= ukk / T{a};
-    if (ipiv != nullptr && ipiv[k] != k) phase = -phase;
+    if (ipiv[k] != k) phase = -phase;
   }
 }
 
@@ -34,7 +33,6 @@ template <typename T>
 typename HodlrFactorization<T>::LogDet HodlrFactorization<T>::logdet() const {
   LogDet out;
   using Engine = detail::FactorEngine<T>;
-  const bool pivoted = opt_.kform == KForm::kPivoted;
 
   for (index_t j = 0; j < tree_.num_leaves(); ++j)
     accumulate_lu_det<T>(Engine::leaf_lu(*this, j), Engine::leaf_pivots(*this, j),
@@ -45,11 +43,10 @@ typename HodlrFactorization<T>::LogDet HodlrFactorization<T>::logdet() const {
     const index_t r = level_rank_[l + 1];
     if (r == 0) continue;
     for (index_t k = 0; k < klev.count; ++k) {
-      accumulate_lu_det<T>(klev.block(k),
-                           pivoted ? klev.pivots(k) : nullptr, out.log_abs,
+      accumulate_lu_det<T>(klev.block(k), klev.pivots(k), out.log_abs,
                            out.phase);
-      // det(B) = (-1)^r det(K) in the pivoted formulation.
-      if (pivoted && (r % 2 == 1)) out.phase = -out.phase;
+      // det(B) = (-1)^r det(K).
+      if (r % 2 == 1) out.phase = -out.phase;
     }
   }
   return out;

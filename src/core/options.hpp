@@ -11,14 +11,6 @@
 
 namespace hodlrx {
 
-/// How the K matrices of eq. (11) are formulated (paper Sec. III-C, end):
-/// the pivoted form needs partially pivoted LU; the identity-diagonal
-/// variants run pivot-free LU at the cost of shuffling the right-hand side.
-enum class KForm {
-  kPivoted,           ///< K = [[V_a* Y_a, I], [I, V_b* Y_b]] + pivoted LU
-  kIdentityDiagonal,  ///< K = [[I, V_b* Y_b], [V_a* Y_a, I]] + no pivoting
-};
-
 /// Which execution engine drives the level sweep.
 enum class ExecMode {
   kSerial,   ///< Algorithms 1/2: plain loops, one thread (the CPU solver)
@@ -39,13 +31,15 @@ struct BuildOptions {
   OnBreakdown on_breakdown = OnBreakdown::kRecover;
 };
 
-/// Factorization options.
+/// Factorization options. Every K matrix of eq. (11),
+/// K = [[V_a* Y_a, I], [I, V_b* Y_b]], is factored with partially pivoted
+/// LU, and every batched launch picks its placement (batched or stream
+/// mode) with BatchPolicy::kAuto.
 struct FactorOptions {
   ExecMode mode = ExecMode::kBatched;
-  KForm kform = KForm::kPivoted;
-  BatchPolicy policy = BatchPolicy::kAuto;
-  /// Breakdown policy for the factorization and checked-solve stages (zero
-  /// pivot in the identity-diagonal K form, failed residual check).
+  /// Breakdown policy for the checked-solve stage (failed residual check)
+  /// and the factor's HODLRX_CHECK_FINITE scan. An exact zero pivot in the
+  /// pivoted LU throws under every policy.
   OnBreakdown on_breakdown = OnBreakdown::kRecover;
 };
 

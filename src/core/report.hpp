@@ -25,8 +25,6 @@ struct FactorReport {
   index_t svd_nonconverged = 0;  ///< batched-SVD problems past the budget
   index_t svd_recovered = 0;     ///< of those, finished by the serial re-run
   // --- factorization stage -------------------------------------------------
-  index_t lu_breakdowns = 0;     ///< zero pivots hit in getrf_nopivot
-  index_t lu_pivot_retries = 0;  ///< K blocks refactored with pivoting
   double max_pivot_growth = 0;   ///< max |entry| growth ratio across the LUs
   // --- stage-boundary scans (HODLRX_CHECK_FINITE) --------------------------
   index_t nonfinite_values = 0;  ///< NaN/Inf entries found at stage ends
@@ -34,8 +32,7 @@ struct FactorReport {
 
   /// True when no breakdown of any kind was recorded.
   bool clean() const {
-    return aca_stalls == 0 && svd_nonconverged == 0 && lu_breakdowns == 0 &&
-           nonfinite_values == 0;
+    return aca_stalls == 0 && svd_nonconverged == 0 && nonfinite_values == 0;
   }
 };
 

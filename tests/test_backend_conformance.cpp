@@ -19,6 +19,7 @@
 #include "common/trsm_kernel.hpp"
 #include "device/backend.hpp"
 #include "device/device.hpp"
+#include "reference/lapack_reference.hpp"
 #include "test_util.hpp"
 
 /// \file test_backend_conformance.cpp
@@ -36,36 +37,7 @@ namespace hodlrx {
 namespace {
 
 using test::rel_error;
-
-/// Set (or clear, with nullptr) an environment variable for one scope and
-/// restore the previous value on exit (the test_faults.cpp pattern — the
-/// ctest backend legs export HODLRX_BACKEND process-wide, so tests that
-/// need a SPECIFIC backend pin it instead of assuming a clean environment).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr)
-      ::setenv(name, value, /*overwrite=*/1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_old_)
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    else
-      ::unsetenv(name_.c_str());
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using test::ScopedEnv;
 
 /// Run `fn` once per registered backend, with HODLRX_BACKEND pinned and a
 /// SCOPED_TRACE naming the backend in any failure.

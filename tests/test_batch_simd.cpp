@@ -429,10 +429,12 @@ TYPED_TEST(BatchSimdTyped, ForcedWidthOneRunsTheScalarPathExactly) {
   std::vector<T> a2 = a1;
   std::vector<real_t<T>> s1(static_cast<std::size_t>(n * batch)), s2 = s1;
   std::vector<T> v1(static_cast<std::size_t>(n * n * batch)), v2 = v1;
-  jacobi_svd_strided_batched<T>(a1.data(), m, stride_a, m, n, s1.data(), n,
-                                v1.data(), n, n * n, batch);
-  jacobi_svd_strided_batched<T>(a2.data(), m, stride_a, m, n, s2.data(), n,
-                                v2.data(), n, n * n, batch);
+  const SvdBatchInfo info1 = jacobi_svd_strided_batched<T>(
+      a1.data(), m, stride_a, m, n, s1.data(), n, v1.data(), n, n * n, batch);
+  const SvdBatchInfo info2 = jacobi_svd_strided_batched<T>(
+      a2.data(), m, stride_a, m, n, s2.data(), n, v2.data(), n, n * n, batch);
+  EXPECT_EQ(info1.nonconverged, 0);
+  EXPECT_EQ(info2.nonconverged, 0);
   EXPECT_EQ(batch_simd_stats::jacobi_sweep_groups(), 0u);
   EXPECT_EQ(std::memcmp(a1.data(), a2.data(), a1.size() * sizeof(T)), 0)
       << "scalar fallback must be deterministic";

@@ -115,27 +115,45 @@ TYPED_TEST(BatchedTyped, GetrfGetrsBatched) {
               R(std::is_same_v<R, float> ? 1e-4 : 1e-12));
 }
 
-TYPED_TEST(BatchedTyped, GetrfNopivotBatched) {
+/// Stream mode (getrf_parallel's blocked LU with a pool-parallel trailing
+/// update, then getrs_parallel) against batched mode (one blocked getrf and
+/// getrs per pool slot), on problems wider than the 64-column LU block so
+/// the blocked driver's trailing updates run.
+TYPED_TEST(BatchedTyped, GetrfGetrsStreamMatchesBatched) {
   using T = TypeParam;
   using R = real_t<T>;
-  const index_t batch = 9, n = 12;
-  std::vector<Matrix<T>> a0, lu, b;
-  for (index_t i = 0; i < batch; ++i) {
-    a0.push_back(random_matrix<T>(n, n, 60 + i));
-    for (index_t d = 0; d < n; ++d) a0.back()(d, d) += T{30};
-    lu.push_back(to_matrix(a0.back().view()));
-    b.push_back(random_matrix<T>(n, 2, 70 + i));
+  const R tol = std::is_same_v<R, float> ? R(1e-4) : R(1e-12);
+  const index_t sizes[] = {100, 150, 129};
+  std::vector<Matrix<T>> a0, b, x[2];
+  for (index_t i = 0; i < 3; ++i) {
+    a0.push_back(random_matrix<T>(sizes[i], sizes[i], 80 + i));
+    for (index_t d = 0; d < sizes[i]; ++d) a0.back()(d, d) += T{8};
+    b.push_back(random_matrix<T>(sizes[i], 5, 90 + i));
   }
-  std::vector<MatrixView<T>> luv(lu.begin(), lu.end());
-  getrf_nopivot_batched<T>(luv);
-  std::vector<Matrix<T>> x;
-  for (index_t i = 0; i < batch; ++i) x.push_back(to_matrix(b[i].view()));
-  std::vector<ConstMatrixView<T>> luc(lu.begin(), lu.end());
-  std::vector<MatrixView<T>> xv(x.begin(), x.end());
-  getrs_nopivot_batched<T>(luc, xv);
-  for (index_t i = 0; i < batch; ++i)
-    EXPECT_LE(test::dense_relres<T>(a0[i], x[i], b[i]),
-              R(std::is_same_v<R, float> ? 1e-4 : 1e-12));
+  int slot = 0;
+  for (BatchPolicy pol :
+       {BatchPolicy::kForceBatched, BatchPolicy::kForceStream}) {
+    std::vector<Matrix<T>> lu;
+    std::vector<std::vector<index_t>> piv;
+    for (index_t i = 0; i < 3; ++i) {
+      lu.push_back(to_matrix(a0[i].view()));
+      piv.emplace_back(sizes[i], 0);
+      x[slot].push_back(to_matrix(b[i].view()));
+    }
+    std::vector<MatrixView<T>> luv(lu.begin(), lu.end());
+    std::vector<index_t*> pv;
+    for (auto& p : piv) pv.push_back(p.data());
+    getrf_batched<T>(luv, pv, pol);
+    std::vector<ConstMatrixView<T>> luc(lu.begin(), lu.end());
+    std::vector<const index_t*> pvc(pv.begin(), pv.end());
+    std::vector<MatrixView<T>> xv(x[slot].begin(), x[slot].end());
+    getrs_batched<T>(luc, pvc, xv, pol);
+    ++slot;
+  }
+  for (index_t i = 0; i < 3; ++i) {
+    EXPECT_LE(test::dense_relres<T>(a0[i], x[1][i], b[i]), tol);
+    EXPECT_LE(rel_error(x[1][i], x[0][i]), tol);
+  }
 }
 
 TEST(Batched, EmptyBatchIsNoop) {

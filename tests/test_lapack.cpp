@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/lapack.hpp"
+#include "reference/lapack_reference.hpp"
 #include "test_util.hpp"
 
 namespace hodlrx {
@@ -55,20 +56,6 @@ TYPED_TEST(LapackTyped, GetrsSolves) {
   Matrix<T> x = dense_solve<T>(a, b);
   EXPECT_LE(test::dense_relres<T>(a, x, b),
             R(std::is_same_v<R, float> ? 1e-4 : 1e-12));
-}
-
-TYPED_TEST(LapackTyped, GetrfNoPivotOnDominantMatrix) {
-  using T = TypeParam;
-  const index_t n = 40;
-  Matrix<T> a = random_matrix<T>(n, n, 19);
-  for (index_t i = 0; i < n; ++i) a(i, i) += T{50};
-  Matrix<T> a0 = to_matrix(a.view());
-  getrf_nopivot(a.view());
-  Matrix<T> b = random_matrix<T>(n, 3, 20);
-  Matrix<T> x = to_matrix(b.view());
-  getrs_nopivot<T>(a, x.view());
-  EXPECT_LE(test::dense_relres<T>(a0, x, b),
-            real_t<T>(std::is_same_v<real_t<T>, float> ? 1e-4 : 1e-12));
 }
 
 TEST(Lapack, GetrfSingularThrows) {

@@ -24,8 +24,7 @@ std::pair<real_t<T>, T> dense_logdet(const Matrix<T>& a) {
 }
 
 template <typename T>
-void check_logdet(index_t n, index_t leaf, KForm kform, ExecMode mode,
-                  double tol) {
+void check_logdet(index_t n, index_t leaf, ExecMode mode, double tol) {
   Matrix<T> a = test::smooth_test_matrix<T>(n, 101 + n);
   ClusterTree tree = ClusterTree::uniform(n, leaf);
   BuildOptions bopt;
@@ -37,7 +36,6 @@ void check_logdet(index_t n, index_t leaf, KForm kform, ExecMode mode,
   auto [ref_log, ref_phase] = dense_logdet(ad);
 
   FactorOptions fopt;
-  fopt.kform = kform;
   fopt.mode = mode;
   auto f = HodlrFactorization<T>::factor(PackedHodlr<T>::pack(h), fopt);
   auto ld = f.logdet();
@@ -46,23 +44,14 @@ void check_logdet(index_t n, index_t leaf, KForm kform, ExecMode mode,
 }
 
 TEST(LogDet, MatchesDensePivoted) {
-  check_logdet<double>(96, 12, KForm::kPivoted, ExecMode::kSerial, 1e-10);
-  check_logdet<double>(200, 25, KForm::kPivoted, ExecMode::kBatched, 1e-10);
-  check_logdet<double>(256, 16, KForm::kPivoted, ExecMode::kBatched, 1e-10);
-}
-
-TEST(LogDet, MatchesDenseIdentityDiagonal) {
-  check_logdet<double>(96, 12, KForm::kIdentityDiagonal, ExecMode::kSerial,
-                       1e-10);
-  check_logdet<double>(128, 16, KForm::kIdentityDiagonal, ExecMode::kBatched,
-                       1e-10);
+  check_logdet<double>(96, 12, ExecMode::kSerial, 1e-10);
+  check_logdet<double>(200, 25, ExecMode::kBatched, 1e-10);
+  check_logdet<double>(256, 16, ExecMode::kBatched, 1e-10);
 }
 
 TEST(LogDet, ComplexPhase) {
-  check_logdet<std::complex<double>>(128, 16, KForm::kPivoted,
-                                     ExecMode::kBatched, 1e-9);
-  check_logdet<std::complex<double>>(100, 14, KForm::kIdentityDiagonal,
-                                     ExecMode::kSerial, 1e-9);
+  check_logdet<std::complex<double>>(128, 16, ExecMode::kBatched, 1e-9);
+  check_logdet<std::complex<double>>(100, 14, ExecMode::kSerial, 1e-9);
 }
 
 TEST(LogDet, NegativeDeterminantSign) {

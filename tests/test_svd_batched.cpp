@@ -13,6 +13,7 @@
 #include "device/device.hpp"
 #include "lowrank/lowrank.hpp"
 #include "lowrank/recompress.hpp"
+#include "reference/lapack_reference.hpp"
 #include "test_util.hpp"
 
 /// Property tests of the Jacobi SVD machinery: the blocked serial driver
@@ -405,8 +406,9 @@ TEST(SvdBatched, SweepLaunchesBatchedKernelsWithoutThreadChurn) {
   std::vector<double> v(static_cast<std::size_t>(n) * n * batch);
   const std::uint64_t created = pool.threads_created();
   const std::uint64_t launches0 = DeviceContext::global().launches();
-  jacobi_svd_strided_batched<double>(buf.data(), m, m * n, m, n, sig.data(),
-                                     n, v.data(), n, n * n, batch);
+  const SvdBatchInfo info = jacobi_svd_strided_batched<double>(
+      buf.data(), m, m * n, m, n, sig.data(), n, v.data(), n, n * n, batch);
+  EXPECT_EQ(info.nonconverged, 0);
   EXPECT_GT(DeviceContext::global().launches(), launches0 + 3)
       << "init + per-sweep Gram/rotation + finalize must be recorded as "
          "batched launches";

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/blas.hpp"
@@ -15,6 +17,36 @@
 /// Shared helpers for the test suite.
 
 namespace hodlrx::test {
+
+/// Set (or clear, with nullptr) an environment variable for one scope and
+/// restore the previous value on exit. ctest legs and CI export variables
+/// such as HODLRX_FAULT and HODLRX_BACKEND process-wide, so a test that
+/// needs a specific value pins it instead of assuming a clean environment.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, /*overwrite=*/1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (had_old_)
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    else
+      ::unsetenv(name_.c_str());
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_old_ = false;
+};
 
 /// ||a - b||_F / max(||b||_F, 1).
 template <typename T>
