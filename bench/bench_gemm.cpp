@@ -1,7 +1,8 @@
 /// Microbenchmark of the packed, register-tiled GEMM engine against the
-/// seed's naive kernels (replicated here verbatim as the baseline), plus the
-/// batch layer's shared-operand fast path. Emits BENCH_gemm.json so the perf
-/// trajectory is tracked across PRs.
+/// seed's naive kernels (replicated here verbatim as the baseline), the
+/// batch layer's shared-operand fast path, and the GEMV kernel in GB/s on
+/// the 1-RHS solve's shapes. Emits BENCH_gemm.json so the perf trajectory
+/// is tracked across PRs.
 ///
 /// Flags: --repeats N (default 3), --max-n N (cap the large dimension).
 
@@ -121,6 +122,62 @@ void run_case(const Case& cs, int repeats, bench::JsonArrayWriter& out) {
   out.end_record();
 }
 
+/// One matrix-vector product y = op(A) x, A rows x cols inside a buffer of
+/// leading dimension ld, through the seed loops (seed_gemm_nn for Op::N,
+/// the element-accessor loop for Op::C), the packed engine and gemv().
+struct GemvCase {
+  const char* name;
+  Op opa;
+  index_t rows, cols, ld;
+};
+
+template <typename T>
+void run_gemv_case(const GemvCase& cs, int repeats,
+                   bench::JsonArrayWriter& out) {
+  Matrix<T> abuf = random_matrix<T>(cs.ld, cs.cols, 31);
+  ConstMatrixView<T> a(abuf.data(), cs.rows, cs.cols, cs.ld);
+  const index_t xlen = op_cols(cs.opa, a), ylen = op_rows(cs.opa, a);
+  Matrix<T> x = random_matrix<T>(xlen, 1, 32);
+  Matrix<T> y(ylen, 1);
+  // GB/s over the bytes of A, x and y, each moved once. Small shapes repeat
+  // inside one timed sample so that it moves at least 4 MiB.
+  const double bytes =
+      static_cast<double>(sizeof(T)) * (cs.rows * cs.cols + xlen + ylen);
+  const int iters = std::max(1, static_cast<int>((1 << 22) / bytes));
+  const auto gbs = [&](auto&& f) {
+    return bytes * iters / time_best(repeats, [&] {
+             for (int it = 0; it < iters; ++it) f();
+           }) / 1e9;
+  };
+  const double g_seed = gbs([&] {
+    if (cs.opa == Op::N)
+      seed_gemm_nn<T>(T{1}, a, x, T{0}, y.view());
+    else
+      seed_gemm_generic<T>(cs.opa, Op::N, T{1}, a, x, T{0}, y.view());
+  });
+  const double g_packed = gbs([&] {
+    gemm_packed<T>(cs.opa, Op::N, T{1}, a, x, T{0}, y.view());
+  });
+  const double g_gemv =
+      gbs([&] { gemv<T>(cs.opa, T{1}, a, x.data(), T{0}, y.data()); });
+  std::printf("%-24s %c  %5lldx%3lld ld %5lld  seed %7.2f GB/s  packed %7.2f"
+              " GB/s  gemv %7.2f GB/s\n",
+              cs.name, static_cast<char>(cs.opa),
+              static_cast<long long>(cs.rows), static_cast<long long>(cs.cols),
+              static_cast<long long>(cs.ld), g_seed, g_packed, g_gemv);
+  out.begin_record();
+  out.field("case", cs.name);
+  out.field("type", scalar_name<T>());
+  out.field("opa", std::string(1, static_cast<char>(cs.opa)));
+  out.field("rows", cs.rows);  // A as stored: rows x cols, leading dim ld
+  out.field("cols", cs.cols);
+  out.field("ld", cs.ld);
+  out.field("seed_gbs", g_seed);
+  out.field("packed_gbs", g_packed);
+  out.field("gemv_gbs", g_gemv);
+  out.end_record();
+}
+
 void run_shared_batch(index_t batch, index_t m, index_t n, index_t k,
                       int repeats, bench::JsonArrayWriter& out) {
   Matrix<double> a = random_matrix<double>(m, k * batch, 21);
@@ -187,6 +244,23 @@ int main(int argc, char** argv) {
                                  args.repeats, out);
   run_shared_batch(/*batch=*/32, /*m=*/64, /*n=*/64, /*k=*/64, args.repeats,
                    out);
+  // The 1-RHS solve's level products: V^H x (Op::C) and x -= Y w (Op::N) on
+  // s x r blocks of an N x R panel (ld = 65536), plus one square matrix.
+  for (Op op : {Op::N, Op::C}) {
+    const bool n = op == Op::N;
+    run_gemv_case<double>({n ? "d_gemv_n_64x10" : "d_gemv_c_64x10", op, 64,
+                           10, 65536},
+                          args.repeats, out);
+    run_gemv_case<double>({n ? "d_gemv_n_2048x10" : "d_gemv_c_2048x10", op,
+                           2048, 10, 65536},
+                          args.repeats, out);
+    run_gemv_case<double>({n ? "d_gemv_n_16384x19" : "d_gemv_c_16384x19", op,
+                           16384, 19, 65536},
+                          args.repeats, out);
+    run_gemv_case<double>({n ? "d_gemv_n_square" : "d_gemv_c_square", op,
+                           big, big, big},
+                          args.repeats, out);
+  }
   out.close();
   std::printf("wrote BENCH_gemm.json\n");
   return 0;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include "common/random.hpp"
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,9 +18,10 @@
 
 /// Shared helpers for the paper-table benchmark drivers. Timings follow the
 /// paper's protocol: construction (compression) is NOT included in t_f; the
-/// reported factorization and solution times are averaged over `repeats`
-/// runs; `mem` is the factorization footprint in GB; `relres` is
-/// ||b - A x|| / ||b|| against the HODLR operator.
+/// reported factorization and solution times are the medians of `repeats`
+/// warm runs, after one cold run that is discarded (first-touch page
+/// faults, workspace growth); `mem` is the factorization footprint in GB;
+/// `relres` is ||b - A x|| / ||b|| against the HODLR operator.
 
 namespace hodlrx::bench {
 
@@ -46,8 +48,8 @@ struct Args {
 };
 
 struct SolverStats {
-  double tf = 0;       ///< factorization seconds (averaged)
-  double ts = 0;       ///< single-RHS solution seconds (averaged)
+  double tf = 0;       ///< factorization seconds (median of warm runs)
+  double ts = 0;       ///< single-RHS solution seconds (median of warm runs)
   double mem_gb = 0;   ///< factorization bytes / 1e9
   double relres = 0;   ///< ||b - A x|| / ||b|| vs the HODLR operator
 };
@@ -81,6 +83,31 @@ double time_best_with_setup(int repeats, Setup&& setup, F&& f) {
   return best;
 }
 
+/// Collects the factor and solve times of the runs of one bench helper:
+/// run 0 is the cold run and is dropped, the rest report their medians.
+class WarmTimes {
+ public:
+  void add(int run, double tf, double ts) {
+    if (run == 0) return;
+    tf_.push_back(tf);
+    ts_.push_back(ts);
+  }
+  void report(SolverStats& out) const {
+    out.tf = median(tf_);
+    out.ts = median(ts_);
+  }
+  /// Cold run plus `repeats` (at least one) warm runs.
+  static int runs(int repeats) { return 1 + std::max(1, repeats); }
+
+ private:
+  static double median(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size(), h = n / 2;
+    return n % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+  }
+  std::vector<double> tf_, ts_;
+};
+
 /// relres of x against the HODLR operator.
 template <typename T>
 double hodlr_relres(const HodlrMatrix<T>& h, ConstMatrixView<T> x,
@@ -99,23 +126,24 @@ SolverStats bench_packed(const HodlrMatrix<T>& h, const PackedHodlr<T>& p,
   FactorOptions opt;
   opt.mode = mode;
   Matrix<T> x;
-  for (int rep = 0; rep < repeats; ++rep) {
+  WarmTimes times;
+  const int runs = WarmTimes::runs(repeats);
+  for (int run = 0; run < runs; ++run) {
     WallTimer t;
     HodlrFactorization<T> f = HodlrFactorization<T>::factor(p, opt);
-    out.tf += t.seconds();
+    const double tf = t.seconds();
     x = to_matrix(b);
     t.reset();
     f.solve_inplace(x);
-    out.ts += t.seconds();
-    if (rep == repeats - 1) {
+    times.add(run, tf, t.seconds());
+    if (run == runs - 1) {
       // The operator's panels (V included) plus the factorization's own
       // Y, leaf LUs and K: V is read in place, so f.bytes() omits it.
       out.mem_gb = gb(h.bytes() + f.bytes());
       out.relres = hodlr_relres(h, ConstMatrixView<T>(x), b);
     }
   }
-  out.tf /= repeats;
-  out.ts /= repeats;
+  times.report(out);
   return out;
 }
 
@@ -127,21 +155,22 @@ SolverStats bench_recursive(const HodlrMatrix<T>& h, ConstMatrixView<T> b,
   typename RecursiveSolver<T>::Options opt;
   opt.parallel = parallel;
   Matrix<T> x;
-  for (int rep = 0; rep < repeats; ++rep) {
+  WarmTimes times;
+  const int runs = WarmTimes::runs(repeats);
+  for (int run = 0; run < runs; ++run) {
     WallTimer t;
     RecursiveSolver<T> s = RecursiveSolver<T>::factor(h, opt);
-    out.tf += t.seconds();
+    const double tf = t.seconds();
     x = to_matrix(b);
     t.reset();
     s.solve_inplace(x);
-    out.ts += t.seconds();
-    if (rep == repeats - 1) {
+    times.add(run, tf, t.seconds());
+    if (run == runs - 1) {
       out.mem_gb = gb(s.bytes());
       out.relres = hodlr_relres(h, ConstMatrixView<T>(x), b);
     }
   }
-  out.tf /= repeats;
-  out.ts /= repeats;
+  times.report(out);
   return out;
 }
 
@@ -153,21 +182,22 @@ SolverStats bench_block_sparse(const HodlrMatrix<T>& h, ConstMatrixView<T> b,
   typename BlockSparseLU<T>::Options opt;
   opt.parallel = parallel;
   Matrix<T> x;
-  for (int rep = 0; rep < repeats; ++rep) {
+  WarmTimes times;
+  const int runs = WarmTimes::runs(repeats);
+  for (int run = 0; run < runs; ++run) {
     ExtendedSystem<T> sys = build_extended_system(h);
     WallTimer t;
     BlockSparseLU<T> lu = BlockSparseLU<T>::factor(std::move(sys), opt);
-    out.tf += t.seconds();
+    const double tf = t.seconds();
     t.reset();
     x = lu.solve(b);
-    out.ts += t.seconds();
-    if (rep == repeats - 1) {
+    times.add(run, tf, t.seconds());
+    if (run == runs - 1) {
       out.mem_gb = gb(lu.bytes());
       out.relres = hodlr_relres(h, ConstMatrixView<T>(x), b);
     }
   }
-  out.tf /= repeats;
-  out.ts /= repeats;
+  times.report(out);
   return out;
 }
 

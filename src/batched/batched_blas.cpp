@@ -105,12 +105,12 @@ void gemm_strided_batched(Op opa, Op opb, index_t m, index_t n, index_t k,
   const index_t ar = (opa == Op::N) ? m : k, ac = (opa == Op::N) ? k : m;
   const index_t br = (opb == Op::N) ? k : n, bc = (opb == Op::N) ? n : k;
   // Across-batch small-GEMM tail: problems at or below one register tile
-  // (m <= MR, n <= NR) never fill the packed engine's micro-kernel and run
-  // as scalar naive loops per problem. Interleave lane groups of W problems
-  // into lane-major layout instead, so every multiply-add advances W
-  // problems at full vector width. op/conj and stride-0 broadcast operands
-  // are absorbed by the gather; alpha/beta are fused into the scatter, so C
-  // is never staged in.
+  // (m <= MR, n <= NR) never fill the packed engine's micro-kernel and
+  // would run as short per-column GEMVs, one problem at a time. Interleave
+  // lane groups of W problems into lane-major layout instead, so every
+  // multiply-add advances W problems at full vector width. op/conj and
+  // stride-0 broadcast operands are absorbed by the gather; alpha/beta are
+  // fused into the scatter, so C is never staged in.
   {
     const ResolvedBlocking& rb = resolved_blocking<T>();
     const index_t w = batch_lanes<T>(batch);

@@ -28,6 +28,10 @@ index_t op_cols(Op op, ConstMatrixView<T> a) {
 
 /// General matrix-matrix multiply: C = alpha * op(A) * op(B) + beta * C.
 /// Single-threaded; see gemm_parallel for the intra-op parallel variant.
+/// Products large enough to amortize packing run the packed engine
+/// (gemm_kernel.hpp, use_packed_gemm). A matrix-vector product (opb == N,
+/// one column) never packs, and with opb == N the smaller products run as
+/// one gemv per column of C.
 template <typename T>
 void gemm(Op opa, Op opb, T alpha, NoDeduce<ConstMatrixView<T>> a,
           NoDeduce<ConstMatrixView<T>> b, T beta, MatrixView<T> c);
@@ -39,7 +43,13 @@ template <typename T>
 void gemm_parallel(Op opa, Op opb, T alpha, NoDeduce<ConstMatrixView<T>> a,
                    NoDeduce<ConstMatrixView<T>> b, T beta, MatrixView<T> c);
 
-/// Matrix-vector multiply: y = alpha * op(A) * x + beta * y.
+/// Matrix-vector multiply: y = alpha * op(A) * x + beta * y, x and y
+/// contiguous, any lda. The streaming kernel under every matrix-vector
+/// product (the 1-RHS solve, the H-matvec): each element of A is read once,
+/// four columns per pass, and y (Op::N) or x (Op::T/C) is touched once per
+/// pass. BLAS semantics: beta = 0 writes y without reading it (NaN or not),
+/// alpha = 0 or an empty op(A) only scales y. Deterministic: the summation
+/// order depends on the shape only.
 template <typename T>
 void gemv(Op opa, T alpha, NoDeduce<ConstMatrixView<T>> a, const T* x, T beta,
           T* y);

@@ -33,11 +33,14 @@ void reset() {
 bool use_packed_gemm(Op opa, Op opb, index_t m, index_t n, index_t k) {
   (void)opa;
   if (m <= 0 || n <= 0 || k <= 0) return false;
+  // A matrix-vector product reads each element of A once, so copying A into
+  // a pack first can only add traffic: it always runs the GEMV kernel.
+  if (opb == Op::N && n == 1) return false;
   const index_t work = m * n * k;
-  // N/N and {T,C}/N have tuned naive kernels in blas.cpp that win while the
-  // packing overhead is not amortized; every other combination previously
-  // fell into the element-accessor generic loop, so the packed engine takes
-  // over almost immediately.
+  // With opb == N, gemm() runs small products as one GEMV per column of C,
+  // which wins while packing is not amortized; every other combination
+  // falls into the element-accessor generic loop, so the packed engine
+  // takes over almost immediately.
   const bool has_fast_fallback = (opb == Op::N);
   return work >= (has_fast_fallback ? index_t{16384} : index_t{4096});
 }

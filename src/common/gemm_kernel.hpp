@@ -105,10 +105,11 @@ std::uint64_t pool_packs();
 void reset();
 }  // namespace gemm_stats
 
-/// True when the packed engine is expected to beat the naive kernels for
-/// this problem. Combinations with opb != N have no tuned naive fallback
-/// (they previously ran the element-accessor generic loop), so the packed
-/// engine takes over at a much smaller size.
+/// True when the packed engine is expected to beat the unpacked kernels for
+/// this problem. Never for a matrix-vector product (opb == N, n == 1): the
+/// GEMV kernel reads A once, with no pack copy. Combinations with opb != N
+/// have no GEMV fallback (they run the element-accessor generic loop), so
+/// the packed engine takes over at a much smaller size.
 bool use_packed_gemm(Op opa, Op opb, index_t m, index_t n, index_t k);
 
 /// C = alpha * op(A) * op(B) + beta * C through the packed engine.

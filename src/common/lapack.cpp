@@ -190,17 +190,23 @@ void getrf_parallel(MatrixView<T> a, index_t* ipiv) {
 
 template <typename T>
 void laswp(MatrixView<T> b, const index_t* ipiv, index_t npiv, bool forward) {
-  if (forward) {
-    for (index_t k = 0; k < npiv; ++k) {
-      const index_t p = ipiv[k];
-      if (p != k)
-        for (index_t j = 0; j < b.cols; ++j) std::swap(b(k, j), b(p, j));
-    }
-  } else {
-    for (index_t k = npiv - 1; k >= 0; --k) {
-      const index_t p = ipiv[k];
-      if (p != k)
-        for (index_t j = 0; j < b.cols; ++j) std::swap(b(k, j), b(p, j));
+  // One column at a time: a column's interchanges touch only that column,
+  // so applying all of them to it in order gives the same bytes as swapping
+  // whole rows, while the column stays in cache instead of every interchange
+  // touching one cache line per column of a wide B. Only [k0, k1) holds
+  // interchanges that move anything (none at all for most leaf pivots).
+  index_t k0 = 0, k1 = npiv;
+  while (k0 < k1 && ipiv[k0] == k0) ++k0;
+  while (k1 > k0 && ipiv[k1 - 1] == k1 - 1) --k1;
+  if (k0 == k1) return;
+  for (index_t j = 0; j < b.cols; ++j) {
+    T* __restrict__ bj = b.data + j * b.ld;
+    if (forward) {
+      for (index_t k = k0; k < k1; ++k)
+        if (ipiv[k] != k) std::swap(bj[k], bj[ipiv[k]]);
+    } else {
+      for (index_t k = k1 - 1; k >= k0; --k)
+        if (ipiv[k] != k) std::swap(bj[k], bj[ipiv[k]]);
     }
   }
 }

@@ -2,6 +2,7 @@
 #include <complex>
 #include <vector>
 
+#include "batched/batched_blas.hpp"
 #include "common/parallel.hpp"
 #include "core/engine_detail.hpp"
 

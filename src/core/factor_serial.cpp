@@ -1,5 +1,6 @@
 #include <complex>
 
+#include "common/lapack.hpp"
 #include "core/engine_detail.hpp"
 
 /// \file factor_serial.cpp

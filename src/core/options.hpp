@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "batched/batched_blas.hpp"
 #include "common/config.hpp"
 #include "common/fault.hpp"
 

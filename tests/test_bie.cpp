@@ -2,6 +2,7 @@
 
 #include "bie/helmholtz.hpp"
 #include "bie/laplace.hpp"
+#include "common/lapack.hpp"
 #include "core/factorization.hpp"
 #include "test_util.hpp"
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/flops.hpp"
 #include "test_util.hpp"
 
@@ -123,6 +126,61 @@ TEST(Blas, Gemv) {
     double s = 0;
     for (index_t l = 0; l < 4; ++l) s += a(i, l) * x[l];
     EXPECT_NEAR(y[i], 2 * s - 1.0, 1e-13);
+  }
+}
+
+/// gemv against an element loop for every op, on sizes around the
+/// kernel's four-column passes and 64-byte lane steps, on an interior view
+/// (ld > rows), with alpha not in {0, 1} and beta in {0, 1, other}. With
+/// beta = 0, y starts as NaN and must be overwritten.
+TYPED_TEST(BlasTyped, GemvMatchesElementLoop) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  const R tol = std::is_same_v<R, float> ? R(1e-5) : R(1e-13);
+  const auto scalar = [](double re, double im) {
+    if constexpr (is_complex_v<T>) {
+      return T(static_cast<R>(re), static_cast<R>(im));
+    } else {
+      return static_cast<T>(re);
+    }
+  };
+  const T alpha = scalar(0.75, -0.5);
+  const T nan = scalar(std::nan(""), std::nan(""));
+  const index_t dims[] = {0, 1, 3, 4, 5, 7, 8, 9, 33, 1000};
+  Rng rng(13);
+  for (Op op : {Op::N, Op::T, Op::C}) {
+    for (index_t m : dims) {
+      for (index_t k : dims) {
+        const index_t rows = op == Op::N ? m : k, cols = op == Op::N ? k : m;
+        Matrix<T> abig(rows + 3, cols);
+        rng.fill_uniform<T>(abig);
+        const ConstMatrixView<T> a(abig.data() + 1, rows, cols, rows + 3);
+        std::vector<T> x(static_cast<std::size_t>(k));
+        for (T& v : x) v = scalar(rng.uniform<double>(-1, 1), 0.5);
+        for (T beta : {T{0}, T{1}, scalar(-1.25, 0.5)}) {
+          std::vector<T> y(static_cast<std::size_t>(m), nan);
+          if (beta != T{})
+            for (T& v : y) v = scalar(rng.uniform<double>(-1, 1), -0.25);
+          Matrix<T> expect(m, 1);
+          for (index_t i = 0; i < m; ++i) {
+            T s{};
+            for (index_t l = 0; l < k; ++l) {
+              const T ail = op == Op::N ? a(i, l)
+                            : op == Op::T ? a(l, i)
+                                          : conj_s(a(l, i));
+              s += ail * x[l];
+            }
+            expect(i, 0) = beta == T{} ? alpha * s : alpha * s + beta * y[i];
+          }
+          gemv<T>(op, alpha, a, x.data(), beta, y.data());
+          EXPECT_LE(rel_error<T>(ConstMatrixView<T>(y.data(), m, 1, m),
+                                 expect.view()),
+                    tol)
+              << "op=" << static_cast<char>(op) << " m=" << m << " k=" << k
+              << " beta=" << beta;
+        }
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include "common/blocking.hpp"
 #include "common/gemm_kernel.hpp"
 #include "core/factorization.hpp"
+#include "kernels/kernels.hpp"
 #include "test_util.hpp"
 
 namespace hodlrx {
@@ -272,6 +273,33 @@ TEST(Factorization, StridedRhsViewStaysOnUniformFastPath) {
         << "a submatrix RHS view must stay on the uniform strided fast path";
   }
   blocking_detail::refresh_for_testing();
+}
+
+/// A 1-RHS solve and a 1-column apply are matrix-vector products at every
+/// level. The top levels here are large enough (r * s >= 16384) for the
+/// packed engine's size cutoff, yet none of their products may pack: the
+/// GEMV kernel reads V and Y once, where packing would copy them first.
+TEST(Factorization, OneRhsSolveAndApplyNeverPack) {
+  const index_t n = 8192;
+  GeometricTree g = build_kd_tree(uniform_random_points(n, 1, -1, 1, 11), 64);
+  GaussianKernel<double> k(std::move(g.points), 0.5, 1e-2);
+  BuildOptions bopt;
+  bopt.tol = 1e-10;
+  HodlrMatrix<double> h = HodlrMatrix<double>::build(k, g.tree, bopt);
+  const index_t s1 = g.tree.node(ClusterTree::level_begin(1)).size();
+  ASSERT_GE(h.layout().level_rank[1] * s1, 16384);
+  HodlrFactorization<double> f =
+      HodlrFactorization<double>::factor(PackedHodlr<double>::pack(h), {});
+  Matrix<double> b = random_matrix<double>(n, 1, 12);
+  Matrix<double> x = to_matrix(b.view());
+  Matrix<double> ax(n, 1);
+
+  gemm_stats::reset();
+  f.solve_inplace(x.view());
+  h.apply(x, ax.view());
+  EXPECT_EQ(gemm_stats::a_packs(), 0u);
+  EXPECT_EQ(gemm_stats::b_packs(), 0u);
+  EXPECT_LE(rel_error(ax, b), 1e-8);
 }
 
 TEST(Factorization, WrongRhsSizeThrows) {

@@ -265,5 +265,34 @@ TEST(Lapack, LaswpRoundTrip) {
   EXPECT_LE(rel_error(a, b), 1e-15);
 }
 
+/// laswp on an interior view (ld > rows) with pivots that send several
+/// rows to the same target must give the bytes of swapping whole rows one
+/// interchange at a time, in both directions, and leave the rest of the
+/// parent matrix alone.
+TEST(Lapack, LaswpColumnOrderMatchesRowByRow) {
+  using C = std::complex<double>;
+  const index_t rows = 9, cols = 5;
+  Matrix<C> big = random_matrix<C>(rows + 4, cols + 3, 72);
+  const std::vector<index_t> ipiv = {6, 6, 2, 6, 8, 8, 7, 8};
+  const auto row_by_row = [&](MatrixView<C> b, bool forward) {
+    const index_t npiv = static_cast<index_t>(ipiv.size());
+    for (index_t t = 0; t < npiv; ++t) {
+      const index_t k = forward ? t : npiv - 1 - t;
+      for (index_t j = 0; j < b.cols; ++j) std::swap(b(k, j), b(ipiv[k], j));
+    }
+  };
+  for (bool forward : {true, false}) {
+    Matrix<C> got = to_matrix(big.view());
+    Matrix<C> expect = to_matrix(big.view());
+    laswp(got.view().block(2, 1, rows, cols), ipiv.data(),
+          static_cast<index_t>(ipiv.size()), forward);
+    row_by_row(expect.view().block(2, 1, rows, cols), forward);
+    for (index_t j = 0; j < big.cols(); ++j)
+      for (index_t i = 0; i < big.rows(); ++i)
+        EXPECT_EQ(got(i, j), expect(i, j))
+            << "forward=" << forward << " at (" << i << ", " << j << ")";
+  }
+}
+
 }  // namespace
 }  // namespace hodlrx

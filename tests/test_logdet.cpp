@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/lapack.hpp"
 #include "core/factorization.hpp"
 #include "test_util.hpp"
 
