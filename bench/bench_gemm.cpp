@@ -1,8 +1,7 @@
 /// Microbenchmark of the packed, register-tiled GEMM engine against the
-/// seed's naive kernels (replicated here verbatim as the baseline), the
-/// batch layer's shared-operand fast path, and the GEMV kernel in GB/s on
-/// the 1-RHS solve's shapes. Emits BENCH_gemm.json so the perf trajectory
-/// is tracked across PRs.
+/// seed's naive kernels (replicated here verbatim as the baseline), and the
+/// GEMV kernel in GB/s on the 1-RHS solve's shapes. Emits BENCH_gemm.json so
+/// the perf trajectory is tracked across PRs.
 ///
 /// Flags: --repeats N (default 3), --max-n N (cap the large dimension).
 
@@ -178,45 +177,6 @@ void run_gemv_case(const GemvCase& cs, int repeats,
   out.end_record();
 }
 
-void run_shared_batch(index_t batch, index_t m, index_t n, index_t k,
-                      int repeats, bench::JsonArrayWriter& out) {
-  Matrix<double> a = random_matrix<double>(m, k * batch, 21);
-  Matrix<double> b = random_matrix<double>(k, n, 22);
-  Matrix<double> c(m, n * batch);
-  // Shared B via stride 0 (one pack per launch) vs the same batch with a
-  // per-problem stride pointing at identical data (packed per problem).
-  const double t_shared = time_best(repeats, [&] {
-    gemm_strided_batched<double>(Op::N, Op::N, m, n, k, 1.0, a.data(), m,
-                                 m * k, b.data(), k, 0, 0.0, c.data(), m,
-                                 m * n, batch);
-  });
-  Matrix<double> breps(k, n * batch);
-  for (index_t i = 0; i < batch; ++i)
-    copy<double>(b.view(), breps.view().block(0, i * n, k, n));
-  const double t_unshared = time_best(repeats, [&] {
-    gemm_strided_batched<double>(Op::N, Op::N, m, n, k, 1.0, a.data(), m,
-                                 m * k, breps.data(), k, k * n, 0.0, c.data(),
-                                 m, m * n, batch);
-  });
-  const double work = 2.0 * batch * m * n * k;
-  std::printf("shared-B batch=%lld %lldx%lldx%lld  shared %8.2f GF/s  "
-              "unshared %8.2f GF/s\n",
-              static_cast<long long>(batch), static_cast<long long>(m),
-              static_cast<long long>(n), static_cast<long long>(k),
-              work / t_shared / 1e9, work / t_unshared / 1e9);
-  out.begin_record();
-  out.field("case", "strided_batched_shared_b");
-  out.field("type", "d");
-  out.field("batch", batch);
-  out.field("m", m);
-  out.field("n", n);
-  out.field("k", k);
-  out.field("shared_gflops", work / t_shared / 1e9);
-  out.field("unshared_gflops", work / t_unshared / 1e9);
-  out.field("speedup", t_unshared / t_shared);
-  out.end_record();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,8 +202,6 @@ int main(int argc, char** argv) {
   run_case<std::complex<double>>({"z_cn", Op::C, Op::N, mid / 2, mid / 2,
                                   mid / 2},
                                  args.repeats, out);
-  run_shared_batch(/*batch=*/32, /*m=*/64, /*n=*/64, /*k=*/64, args.repeats,
-                   out);
   // The 1-RHS solve's level products: V^H x (Op::C) and x -= Y w (Op::N) on
   // s x r blocks of an N x R panel (ld = 65536), plus one square matrix.
   for (Op op : {Op::N, Op::C}) {

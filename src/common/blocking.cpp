@@ -143,11 +143,13 @@ ResolvedBlocking model_blocking(const HwInfo& hw, TileDims tile) {
                        rb.nr);
     rb.nc_src = BlockingSource::kProbe;
   }
-  // TRSM NB: the NB x NB diagonal triangle plus a 4-column RHS strip should
-  // sit in half of L1 while the register kernel re-streams it.
+  // TRSM NB: the register-tiled kernel re-reads its whole NB x NB block in
+  // place once per column tile, so the block should stay within a quarter of
+  // L2. Above NB the blocked solve turns the off-diagonal work into packed
+  // GEMM updates, which the kernel outruns while its block is L2-resident.
   index_t nb = 8;
-  while ((nb + 8) * (nb + 8) * szT * 2 <= l1) nb += 8;
-  rb.trsm_nb = clamp(nb, 24, 128);
+  while ((nb + 8) * (nb + 8) * szT * 4 <= l2) nb += 8;
+  rb.trsm_nb = clamp(nb, 24, 256);
   rb.trsm_src = BlockingSource::kProbe;
   // QR panel width trades unblocked panel work against trailing-GEMM
   // efficiency; it is latency- not capacity-bound, so the model only nudges

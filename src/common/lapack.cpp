@@ -216,8 +216,6 @@ void trsm_left(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
                MatrixView<T> b) {
   const index_t n = a.rows;
   HODLRX_REQUIRE(a.cols == n && b.rows == n, "trsm_left: shape mismatch");
-  // The engine falls back to the reference kernel below the diagonal-block
-  // size, so this single call covers both regimes.
   trsm_left_blocked<T>(uplo, diag, a, b);
   FlopCounter::instance().add(
       FlopCounter::kTrsm,

@@ -52,9 +52,9 @@ template <typename T>
 void getrs_parallel(NoDeduce<ConstMatrixView<T>> lu, const index_t* ipiv,
                     MatrixView<T> b);
 
-/// Triangular solve (left side, no transpose): B <- op(A)^{-1} B. Dispatches
-/// into the blocked TRSM engine above the diagonal-block size (see
-/// trsm_kernel.hpp); small problems keep the reference kernel.
+/// Triangular solve (left side, no transpose): B <- op(A)^{-1} B through the
+/// register-tiled kernel, blocked with packed GEMM updates above the
+/// diagonal-block size (see trsm_kernel.hpp).
 template <typename T>
 void trsm_left(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
                MatrixView<T> b);

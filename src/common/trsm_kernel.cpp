@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "common/blocking.hpp"
 #include "common/error.hpp"
@@ -14,92 +17,259 @@ namespace hodlrx {
 
 namespace {
 
-/// RHS columns per pass of the diagonal-block kernels below. Their 4-column
-/// pass and their 1-column tail round complex products differently, so a
-/// column's bits depend on which of the two it takes.
-constexpr index_t kDiagPassCols = 4;
+/// One SIMD vector of real lanes (V) and the integer vector of the same
+/// width (M) that holds lane masks, as GCC/Clang vector extensions.
+template <typename R>
+struct Simd;
+template <>
+struct Simd<float> {
+  using I = std::int32_t;
+  typedef float V __attribute__((vector_size(kTrsmVectorBytes)));
+  typedef I M __attribute__((vector_size(kTrsmVectorBytes)));
+};
+template <>
+struct Simd<double> {
+  using I = std::int64_t;
+  typedef double V __attribute__((vector_size(kTrsmVectorBytes)));
+  typedef I M __attribute__((vector_size(kTrsmVectorBytes)));
+};
 
-/// Solve A_kk^{-1} B for one NB x NB LOWER diagonal block, four RHS columns
-/// per pass: the four running values stay in registers and the triangle is
-/// streamed once per four columns. `inv` is the reciprocal table for
-/// NonUnit diagonals (null for Unit).
+/// The register tile's vector operations for scalar type T. One vector holds
+/// MR elements of one column; a complex element takes two adjacent real
+/// lanes (re, im), as in memory.
 template <typename T>
-void solve_diag_lower(ConstMatrixView<T> a, MatrixView<T> b,
-                      const T* __restrict__ inv) {
-  const index_t n = a.rows;
-  index_t j = 0;
-  for (; j + kDiagPassCols <= b.cols; j += kDiagPassCols) {
-    T* __restrict__ x0 = b.data + j * b.ld;
-    T* __restrict__ x1 = b.data + (j + 1) * b.ld;
-    T* __restrict__ x2 = b.data + (j + 2) * b.ld;
-    T* __restrict__ x3 = b.data + (j + 3) * b.ld;
-    for (index_t k = 0; k < n; ++k) {
-      const T* __restrict__ lk = a.data + k * a.ld;
-      if (inv) {
-        const T ik = inv[k];
-        x0[k] *= ik;
-        x1[k] *= ik;
-        x2[k] *= ik;
-        x3[k] *= ik;
+struct TileOps {
+  using R = real_t<T>;
+  using V = typename Simd<R>::V;
+  using M = typename Simd<R>::M;
+  static constexpr bool kComplex = is_complex_v<T>;
+  static constexpr int kLanes =
+      static_cast<int>(kTrsmVectorBytes / static_cast<index_t>(sizeof(R)));
+  static constexpr int MR = static_cast<int>(TrsmTile<T>::MR);
+  using I = typename Simd<R>::I;
+  static constexpr auto kIota = std::make_index_sequence<kLanes>{};
+
+  // Lane-wise constructors; the lane index pack makes every lane pattern a
+  // compile-time constant.
+  template <std::size_t... L>
+  static V splat_impl(R s, std::index_sequence<L...>) {
+    return V{((void)L, s)...};
+  }
+  template <std::size_t... L>
+  static M index_impl(int k, std::index_sequence<L...>) {
+    return M{((void)L, static_cast<I>(k))...};
+  }
+  template <std::size_t... L>
+  static M element_impl(std::index_sequence<L...>) {
+    return M{static_cast<I>(kComplex ? L / 2 : L)...};
+  }
+  template <std::size_t... L>
+  static M parity_impl(std::index_sequence<L...>) {
+    return M{static_cast<I>(L % 2)...};
+  }
+  template <std::size_t... L>
+  static V swap_impl(V v, std::index_sequence<L...>) {
+    return __builtin_shufflevector(v, v, static_cast<int>(L ^ 1)...);
+  }
+  template <std::size_t... L>
+  static V sign_impl(std::index_sequence<L...>) {
+    return V{(L % 2 == 0 ? R{1} : R{-1})...};
+  }
+  template <int K, std::size_t... L>
+  static V lane_impl(V v, std::index_sequence<L...>) {
+    return __builtin_shufflevector(v, v, ((void)L, K)...);
+  }
+
+  static V load(const T* p) {
+    V v{};
+    std::memcpy(&v, static_cast<const void*>(p), sizeof v);
+    return v;
+  }
+  static void store(T* p, V v) {
+    std::memcpy(static_cast<void*>(p), &v, sizeof v);
+  }
+
+  /// Elements [lo, hi) of a block from p (p points at element lo); the
+  /// other lanes are zero. Reads nothing outside [p, p + hi - lo).
+  static V load_part(const T* p, int lo, int hi) {
+    T buf[MR] = {};
+    for (int i = 0; i < MR; ++i)
+      if (i >= lo && i < hi) buf[i] = p[i - lo];
+    V v{};
+    std::memcpy(&v, static_cast<const void*>(buf), sizeof v);
+    return v;
+  }
+  /// Elements [lo, hi) of a block to p (p points at element lo).
+  static void store_part(T* p, V v, int lo, int hi) {
+    T buf[MR] = {};
+    std::memcpy(static_cast<void*>(buf), &v, sizeof v);
+    for (int i = 0; i < MR; ++i)
+      if (i >= lo && i < hi) p[i - lo] = buf[i];
+  }
+
+  static V splat(R s) { return splat_impl(s, kIota); }
+  static M splat_index(int k) { return index_impl(k, kIota); }
+  /// The element index of every lane.
+  static M element_index() { return element_impl(kIota); }
+  /// Lane K of v in every lane.
+  template <int K>
+  static V lane(V v) {
+    return lane_impl<K>(v, kIota);
+  }
+  /// Complex only: the (re, im) pairs of v as (im, -re), so that
+  /// acc - v * re(x) + swap_neg(v) * im(x) = acc - v * x.
+  static V swap_neg(V v) { return swap_impl(v, kIota) * sign_impl(kIota); }
+
+  /// acc[j] -= av * x[j * ldx] for j < NC: one column segment of A against
+  /// one solved row of the tile. Complex products take two FMAs per vector:
+  /// acc - av * re(x) + swap(av) * (+1, -1) * im(x).
+  template <int NC>
+  static void subtract(V (&acc)[NC], V av, const T* x, index_t ldx) {
+    if constexpr (kComplex) {
+      const V asw = swap_neg(av);
+      for (int j = 0; j < NC; ++j) {
+        const R* xr = reinterpret_cast<const R*>(x + j * ldx);
+        acc[j] = acc[j] - av * splat(xr[0]) + asw * splat(xr[1]);
       }
-      const T v0 = x0[k], v1 = x1[k], v2 = x2[k], v3 = x3[k];
-      for (index_t i = k + 1; i < n; ++i) {
-        const T lik = lk[i];
-        x0[i] -= lik * v0;
-        x1[i] -= lik * v1;
-        x2[i] -= lik * v2;
-        x3[i] -= lik * v3;
+    } else {
+      for (int j = 0; j < NC; ++j) {
+        acc[j] = acc[j] - av * splat(x[j * ldx]);
       }
     }
   }
-  for (; j < b.cols; ++j) {
-    T* __restrict__ x = b.data + j * b.ld;
-    for (index_t k = 0; k < n; ++k) {
-      if (inv) x[k] *= inv[k];
-      const T xk = x[k];
-      const T* __restrict__ lk = a.data + k * a.ld;
-      for (index_t i = k + 1; i < n; ++i) x[i] -= lk[i] * xk;
+
+  /// Step K of the diagonal substitution for one column: element K of acc
+  /// is solved (times `inv` unless Unit) and subtracted, times column K of
+  /// the diagonal block (`ac`), from the elements below K (Lower) or above
+  /// it (Upper). The element stays in registers: it is broadcast with a
+  /// shuffle and written back with a blend.
+  template <int K, bool kLower, bool kUnit>
+  static void substitute(V& acc, V ac, M element, const T* inv) {
+    const M kv = splat_index(K);
+    const M rest = kLower ? (element > kv) : (element < kv);
+    if constexpr (kComplex) {
+      V xr = lane<2 * K>(acc);
+      V xi = lane<2 * K + 1>(acc);
+      if constexpr (!kUnit) {
+        const V ir = splat(inv->real()), ii = splat(inv->imag());
+        const V yr = xr * ir - xi * ii;
+        const V yi = xr * ii + xi * ir;
+        xr = yr;
+        xi = yi;
+        const M even = parity_impl(kIota) == splat_index(0);
+        acc = element == kv ? (even ? xr : xi) : acc;
+      }
+      acc = rest ? acc - ac * xr + swap_neg(ac) * xi : acc;
+    } else {
+      V x = lane<K>(acc);
+      if constexpr (!kUnit) {
+        x = x * splat(*inv);
+        acc = element == kv ? x : acc;
+      }
+      acc = rest ? acc - ac * x : acc;
+    }
+  }
+};
+
+/// One NC-column tile of the solve, in place: columns b, b + ldb, ... of an
+/// n-row X against the n x n triangle at a (lda). `inv[k]` = 1 / a(k, k)
+/// for NonUnit (unused for Unit). Row blocks are MR rows; a lower solve
+/// runs them top-down with the partial block last, an upper solve bottom-up
+/// with the partial block (virtually starting at a negative row i0, lanes
+/// [lo, MR) valid) last. NC = 1 runs the same per-column operations as
+/// NC = NR, in the same order.
+template <typename T, int NC, bool kLower, bool kUnit>
+void solve_tile(index_t n, const T* a, index_t lda, const T* inv, T* b,
+                index_t ldb) {
+  using Ops = TileOps<T>;
+  using V = typename Ops::V;
+  using M = typename Ops::M;
+  constexpr int MR = Ops::MR;
+  const M element = Ops::element_index();
+  const index_t first = kLower ? 0 : n - MR;
+  const index_t nblocks = (n + MR - 1) / MR;
+  for (index_t blk = 0; blk < nblocks; ++blk) {
+    const index_t i0 = kLower ? first + blk * MR : first - blk * MR;
+    // Valid lanes [lo, hi): rows i0 + lo .. i0 + hi - 1 of X.
+    const int lo = kLower ? 0 : static_cast<int>(std::max<index_t>(0, -i0));
+    const int hi = kLower ? static_cast<int>(std::min<index_t>(MR, n - i0))
+                          : MR;
+    const bool full = (hi - lo == MR);
+    V acc[NC] = {};
+    for (int j = 0; j < NC; ++j) {
+      const T* bj = b + j * ldb;
+      acc[j] = full ? Ops::load(bj + i0)
+                    : Ops::load_part(bj + (i0 + lo), lo, hi);
+    }
+    // Subtract the rows already solved: A(i0:i0+MR, k) X(k, :) for k above
+    // (Lower) or below (Upper) the block. The segment is read whole even for
+    // a partial block: its out-of-block lanes are discarded, and it stays
+    // inside A's storage because a partial block with a non-empty k-loop
+    // implies n > MR and lda >= n.
+    const index_t k0 = kLower ? 0 : i0 + MR;
+    const index_t k1 = kLower ? i0 : n;
+    for (index_t k = k0; k < k1; ++k) {
+      Ops::template subtract<NC>(acc, Ops::load(a + (k * lda + i0)), b + k,
+                                 ldb);
+    }
+    // Substitute through the diagonal block, one element at a time; the
+    // step index is a compile-time constant, so every shuffle and mask is.
+    auto step = [&](auto s) {
+      constexpr int si = decltype(s)::value;
+      constexpr int kk = kLower ? si : MR - 1 - si;
+      if (kLower ? kk >= hi : kk < lo) return false;
+      const index_t col = i0 + kk;
+      const V ac =
+          full     ? Ops::load(a + (col * lda + i0))
+          : kLower ? Ops::load_part(a + (col * lda + col + 1), kk + 1, hi)
+                   : Ops::load_part(a + (col * lda + i0 + lo), lo, kk);
+      const T* ik = kUnit ? nullptr : inv + col;
+      for (int j = 0; j < NC; ++j)
+        Ops::template substitute<kk, kLower, kUnit>(acc[j], ac, element, ik);
+      return true;
+    };
+    [&]<int... S>(std::integer_sequence<int, S...>) {
+      (void)(step(std::integral_constant<int, S>{}) && ...);
+    }(std::make_integer_sequence<int, MR>{});
+    for (int j = 0; j < NC; ++j) {
+      T* bj = b + j * ldb;
+      if (full) {
+        Ops::store(bj + i0, acc[j]);
+      } else {
+        Ops::store_part(bj + (i0 + lo), acc[j], lo, hi);
+      }
     }
   }
 }
 
-/// UPPER counterpart of solve_diag_lower (bottom-up over the block).
-template <typename T>
-void solve_diag_upper(ConstMatrixView<T> a, MatrixView<T> b,
-                      const T* __restrict__ inv) {
-  const index_t n = a.rows;
+template <typename T, bool kLower, bool kUnit>
+void solve_tiles(ConstMatrixView<T> a, MatrixView<T> b, const T* inv) {
+  constexpr index_t NR = TrsmTile<T>::NR;
   index_t j = 0;
-  for (; j + kDiagPassCols <= b.cols; j += kDiagPassCols) {
-    T* __restrict__ x0 = b.data + j * b.ld;
-    T* __restrict__ x1 = b.data + (j + 1) * b.ld;
-    T* __restrict__ x2 = b.data + (j + 2) * b.ld;
-    T* __restrict__ x3 = b.data + (j + 3) * b.ld;
-    for (index_t k = n - 1; k >= 0; --k) {
-      const T* __restrict__ uk = a.data + k * a.ld;
-      if (inv) {
-        const T ik = inv[k];
-        x0[k] *= ik;
-        x1[k] *= ik;
-        x2[k] *= ik;
-        x3[k] *= ik;
-      }
-      const T v0 = x0[k], v1 = x1[k], v2 = x2[k], v3 = x3[k];
-      for (index_t i = 0; i < k; ++i) {
-        const T uik = uk[i];
-        x0[i] -= uik * v0;
-        x1[i] -= uik * v1;
-        x2[i] -= uik * v2;
-        x3[i] -= uik * v3;
-      }
+  for (; j + NR <= b.cols; j += NR)
+    solve_tile<T, static_cast<int>(NR), kLower, kUnit>(
+        a.rows, a.data, a.ld, inv, b.data + j * b.ld, b.ld);
+  for (; j < b.cols; ++j)
+    solve_tile<T, 1, kLower, kUnit>(a.rows, a.data, a.ld, inv,
+                                    b.data + j * b.ld, b.ld);
+}
+
+/// The register-tiled kernel on a whole (diagonal-block) solve.
+template <typename T>
+void trsm_tiled(Uplo uplo, Diag diag, ConstMatrixView<T> a, MatrixView<T> b,
+                const T* inv) {
+  if (a.rows == 0 || b.cols == 0) return;
+  if (uplo == Uplo::Lower) {
+    if (diag == Diag::Unit) {
+      solve_tiles<T, true, true>(a, b, inv);
+    } else {
+      solve_tiles<T, true, false>(a, b, inv);
     }
-  }
-  for (; j < b.cols; ++j) {
-    T* __restrict__ x = b.data + j * b.ld;
-    for (index_t k = n - 1; k >= 0; --k) {
-      if (inv) x[k] *= inv[k];
-      const T xk = x[k];
-      const T* __restrict__ uk = a.data + k * a.ld;
-      for (index_t i = 0; i < k; ++i) x[i] -= uk[i] * xk;
+  } else {
+    if (diag == Diag::Unit) {
+      solve_tiles<T, false, true>(a, b, inv);
+    } else {
+      solve_tiles<T, false, false>(a, b, inv);
     }
   }
 }
@@ -136,63 +306,30 @@ void add_trsm_flops(index_t n, index_t nrhs) {
           static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(nrhs));
 }
 
-}  // namespace
-
-template <typename T>
-void trsm_left_reference(Uplo uplo, Diag diag,
-                         NoDeduce<ConstMatrixView<T>> a, MatrixView<T> b) {
-  const index_t n = a.rows;
-  if (uplo == Uplo::Lower) {
-    for (index_t j = 0; j < b.cols; ++j) {
-      T* __restrict__ x = b.data + j * b.ld;
-      for (index_t k = 0; k < n; ++k) {
-        if (diag == Diag::NonUnit) x[k] /= a(k, k);
-        const T xk = x[k];
-        if (xk == T{}) continue;
-        const T* __restrict__ lk = a.data + k * a.ld;
-        for (index_t i = k + 1; i < n; ++i) x[i] -= lk[i] * xk;
-      }
-    }
-  } else {
-    for (index_t j = 0; j < b.cols; ++j) {
-      T* __restrict__ x = b.data + j * b.ld;
-      for (index_t k = n - 1; k >= 0; --k) {
-        if (diag == Diag::NonUnit) x[k] /= a(k, k);
-        const T xk = x[k];
-        if (xk == T{}) continue;
-        const T* __restrict__ uk = a.data + k * a.ld;
-        for (index_t i = 0; i < k; ++i) x[i] -= uk[i] * xk;
-      }
-    }
-  }
-}
-
-namespace {
-
 /// trsm_left_blocked on `b`, a column chunk of a solve with `nrhs` columns.
 template <typename T>
 void trsm_blocked_chunk(Uplo uplo, Diag diag, ConstMatrixView<T> a,
                         MatrixView<T> b, index_t nrhs) {
   const index_t n = a.rows;
-  const index_t nb = resolved_blocking<T>().trsm_nb;
-  if (n <= nb) {
-    trsm_left_reference<T>(uplo, diag, a, b);
-    return;
-  }
-  if (b.cols == 0) return;
+  if (n == 0 || b.cols == 0) return;
   // Reciprocal table for NonUnit diagonals, computed once per solve so the
-  // inner kernels multiply instead of divide.
+  // kernel multiplies instead of divides.
   T* inv = nullptr;
   if (diag == Diag::NonUnit) {
     inv = WorkspaceArena::local().get<T>(static_cast<std::size_t>(n),
                                          WorkspaceArena::kScratch);
     for (index_t k = 0; k < n; ++k) inv[k] = T{1} / a(k, k);
   }
+  const index_t nb = resolved_blocking<T>().trsm_nb;
+  if (n <= nb) {
+    trsm_tiled<T>(uplo, diag, a, b, inv);
+    return;
+  }
   if (uplo == Uplo::Lower) {
     for (index_t k0 = 0; k0 < n; k0 += nb) {
       const index_t kb = std::min(nb, n - k0);
-      solve_diag_lower<T>(a.block(k0, k0, kb, kb), b.rows_range(k0, kb),
-                          inv ? inv + k0 : nullptr);
+      trsm_tiled<T>(uplo, diag, a.block(k0, k0, kb, kb), b.rows_range(k0, kb),
+                    inv ? inv + k0 : nullptr);
       const index_t rem = n - k0 - kb;
       if (rem > 0)
         update_nn<T>(a.block(k0 + kb, k0, rem, kb),
@@ -202,8 +339,8 @@ void trsm_blocked_chunk(Uplo uplo, Diag diag, ConstMatrixView<T> a,
   } else {
     for (index_t k0 = ((n - 1) / nb) * nb;; k0 -= nb) {
       const index_t kb = std::min(nb, n - k0);
-      solve_diag_upper<T>(a.block(k0, k0, kb, kb), b.rows_range(k0, kb),
-                          inv ? inv + k0 : nullptr);
+      trsm_tiled<T>(uplo, diag, a.block(k0, k0, kb, kb), b.rows_range(k0, kb),
+                    inv ? inv + k0 : nullptr);
       if (k0 == 0) break;
       update_nn<T>(a.block(0, k0, k0, kb),
                    ConstMatrixView<T>(b.rows_range(k0, kb)),
@@ -229,22 +366,16 @@ void trsm_left_parallel(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
   if (max_threads() <= 1 || b.cols <= 1 || in_parallel()) {
     trsm_left_blocked<T>(uplo, diag, a, b);
   } else {
-    // Chunks start on whole diagonal-kernel passes, so every column takes
-    // the same pass, and returns the same bits, as in the unsplit solve.
-    const index_t passes = (b.cols + kDiagPassCols - 1) / kDiagPassCols;
-    parallel_chunks(passes, [&](index_t p0, index_t np) {
-      const index_t j0 = p0 * kDiagPassCols;
-      const index_t j1 = std::min((p0 + np) * kDiagPassCols, b.cols);
-      trsm_blocked_chunk<T>(uplo, diag, a, b.cols_range(j0, j1 - j0), b.cols);
+    // A column's bits do not depend on its tile, so chunks may start
+    // anywhere.
+    parallel_chunks(b.cols, [&](index_t j0, index_t nc) {
+      trsm_blocked_chunk<T>(uplo, diag, a, b.cols_range(j0, nc), b.cols);
     });
   }
   add_trsm_flops<T>(n, b.cols);
 }
 
 #define HODLRX_INSTANTIATE_TRSM_KERNEL(T)                                    \
-  template void trsm_left_reference<T>(Uplo, Diag,                           \
-                                       NoDeduce<ConstMatrixView<T>>,         \
-                                       MatrixView<T>);                       \
   template void trsm_left_blocked<T>(Uplo, Diag,                             \
                                      NoDeduce<ConstMatrixView<T>>,           \
                                      MatrixView<T>);                         \

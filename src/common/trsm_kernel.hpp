@@ -4,25 +4,34 @@
 #include "common/matrix.hpp"
 
 /// \file trsm_kernel.hpp
-/// The blocked triangular-solve engine behind `trsm_left`/`getrs` — the
-/// solve-stage counterpart of the packed GEMM engine (gemm_kernel.hpp).
+/// The triangular-solve engine behind `trsm_left`/`getrs`: B <- A^{-1} B for
+/// a lower or upper, unit or non-unit triangle A, all four scalar types.
 ///
-/// The seed solved B <- op(A)^{-1} B one RHS column at a time with an axpy
-/// sweep over the whole triangle, so every column re-streamed all of A from
-/// memory: exactly the memory-bound behavior the paper's Fig. 9 shows for
-/// the solution stage. The blocked solver partitions A into NB x NB diagonal
-/// blocks and runs right-looking:
+/// The kernel is register-tiled. X (= B, overwritten) is cut into row blocks
+/// of MR rows, one SIMD vector of T per column, by NR columns, and a tile
+/// stays in registers while it is solved (Lower shown; Upper runs the mirror
+/// image bottom-up):
 ///
-///   for each diagonal block k (top-down for Lower, bottom-up for Upper):
-///     B_k   <- A_kk^{-1} B_k        (register-tiled small solve, below)
-///     B_rest -= A_rest,k * B_k      (rank-NB update through the packed GEMM
-///                                    engine: O(n^2 nrhs) flops at GEMM speed)
+///   for each NR-column tile, for each MR-row block i0:
+///     X_i0 <- B_i0 - A(i0, 0:i0) * X(0:i0)  (k-loop over A's column
+///                                            segments, X broadcast)
+///     X_i0 <- A(i0, i0)^{-1} X_i0           (substitution through the
+///                                            MR x MR diagonal block in
+///                                            registers)
 ///
-/// which turns all but an O(n * NB * nrhs) sliver of the work into packed
-/// GEMM. The diagonal-block solve itself processes four RHS columns per pass
-/// with the four running values held in registers, so the NB x NB triangle
-/// is streamed once per four columns instead of once per column, and
-/// divisions are hoisted into a reciprocal table computed once per block.
+/// A is read in place, with no packing, so a 1-RHS solve pays nothing
+/// extra. A partial row block (n % MR rows) never reads past A's storage:
+/// it sits at the bottom of a lower solve and at the top of an upper one,
+/// and its diagonal block and its B rows are loaded element by element.
+/// NonUnit diagonals are applied as a multiply by a reciprocal computed once
+/// per solve. Columns left over after the last NR-tile run through the
+/// one-column instantiation of the same code, so a column's bits never
+/// depend on which tile it lands in.
+///
+/// For n <= trsm_nb the kernel is the whole solve. Above that,
+/// trsm_left_blocked partitions A into nb x nb diagonal blocks and runs
+/// right-looking: the kernel solves each diagonal block and a rank-nb GEMM
+/// update (packed engine above its cutoff) carries the rest.
 ///
 /// Accounting contract: the kernels here do NOT touch the flop counters —
 /// the public entry points (`trsm_left`, `trsm_left_parallel`, `getrs*`)
@@ -30,20 +39,29 @@
 
 namespace hodlrx {
 
-/// The diagonal-block size comes from the shared blocking resolver
-/// (resolved_blocking<T>().trsm_nb, blocking.hpp): HODLRX_TRSM_NB override >
-/// probed cache model > the static 64 (clamped to >= 8). Problems with
-/// n <= nb run the reference kernel unchanged.
+/// Bytes of the SIMD vector that holds one column of a row block: the
+/// widest vector the compile target has.
+#if defined(__AVX512F__)
+inline constexpr index_t kTrsmVectorBytes = 64;
+#elif defined(__AVX__)
+inline constexpr index_t kTrsmVectorBytes = 32;
+#else
+inline constexpr index_t kTrsmVectorBytes = 16;
+#endif
 
-/// The seed's unblocked column-at-a-time solve. Kept verbatim as the
-/// small-problem kernel, the cross-check oracle in tests, and the baseline
-/// in bench_trsm.
+/// The kernel's register tile: MR rows (one SIMD vector of T) by NR columns.
 template <typename T>
-void trsm_left_reference(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
-                         MatrixView<T> b);
+struct TrsmTile {
+  static constexpr index_t MR =
+      kTrsmVectorBytes / static_cast<index_t>(sizeof(T));
+  static constexpr index_t NR = 8;
+};
 
-/// Blocked right-looking solve (see file comment). Falls back to the
-/// reference kernel when n <= nb.
+/// Blocked right-looking solve (see file comment); the register-tiled
+/// kernel alone when n <= nb. The diagonal-block size comes from the shared
+/// blocking resolver (resolved_blocking<T>().trsm_nb, blocking.hpp):
+/// HODLRX_TRSM_NB override > probed cache model > the static 64 (clamped to
+/// >= 8).
 template <typename T>
 void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
                        MatrixView<T> b);
@@ -51,10 +69,10 @@ void trsm_left_blocked(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
 /// Stream-mode solve: the RHS columns are split into one chunk per pool
 /// thread (columns are independent given A), each chunk running the blocked
 /// solver. The result is bitwise that of trsm_left_blocked on the whole RHS
-/// at any pool size: chunks start on the diagonal kernels' 4-column passes,
-/// and every chunk picks its trailing-update kernel from the full RHS width.
-/// This IS a public entry point and accounts trsm flops. Used by the batched
-/// layer when a level has few, large problems.
+/// at any pool size: a column's bits do not depend on its tile, and every
+/// chunk picks its trailing-update kernel from the full RHS width. This IS
+/// a public entry point and accounts trsm flops. Used by the batched layer
+/// when a level has few, large problems.
 template <typename T>
 void trsm_left_parallel(Uplo uplo, Diag diag, NoDeduce<ConstMatrixView<T>> a,
                         MatrixView<T> b);

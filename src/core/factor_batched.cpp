@@ -12,9 +12,12 @@
 /// to one or two batched device calls:
 ///   BATCHED-LU-FACTORIZE  -> getrf_batched (partial pivoting)
 ///   BATCHED-LU-SOLVE      -> getrs_batched
-///                            (blocked TRSM engine underneath: pivots applied
-///                            once, register-tiled diagonal solves, packed
-///                            GEMM trailing updates — see trsm_kernel.hpp)
+///                            (pivots applied once, then the register-tiled
+///                            triangular kernel, reading the LU in place:
+///                            the whole solve for n <= trsm_nb, the
+///                            diagonal-block solve of a blocked solve with
+///                            packed GEMM updates above — see
+///                            trsm_kernel.hpp)
 ///   BATCHED-GEMM          -> gemm_batched, or gemm_strided_batched when the
 ///                            level's node sizes are uniform (Sec. III-C).
 /// Every launch places itself (batched or stream mode) with

@@ -16,10 +16,10 @@
 #include "common/lapack.hpp"
 #include "common/matrix.hpp"
 #include "common/random.hpp"
-#include "common/trsm_kernel.hpp"
 #include "device/backend.hpp"
 #include "device/device.hpp"
 #include "reference/lapack_reference.hpp"
+#include "reference/trsm_reference.hpp"
 #include "test_util.hpp"
 
 /// \file test_backend_conformance.cpp

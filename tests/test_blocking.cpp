@@ -20,6 +20,7 @@
 #include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
 #include "core/factorization.hpp"
+#include "reference/trsm_reference.hpp"
 #include "test_util.hpp"
 
 /// The blocking-parameter property/stress suite guarding the
@@ -313,10 +314,11 @@ TYPED_TEST(BlockingTyped, ResolvedModelFitsProbedCaches) {
   if (rb.nc_src == BlockingSource::kProbe) {
     EXPECT_EQ(rb.nc % rb.nr, 0);
   }
-  // The TRSM diagonal triangle targets half of L1.
+  // The TRSM kernel's diagonal block targets a quarter of L2 (or sits at
+  // the 24-row floor).
   if (rb.trsm_src == BlockingSource::kProbe) {
-    EXPECT_LE(rb.trsm_nb * rb.trsm_nb * szT * 2,
-              static_cast<index_t>(hw.l1d_bytes) + 64 * 64 * szT * 2);
+    EXPECT_LE(rb.trsm_nb * rb.trsm_nb * szT * 4,
+              std::max(static_cast<index_t>(hw.l2_bytes), 24 * 24 * szT * 4));
   }
 }
 

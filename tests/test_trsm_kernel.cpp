@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "batched/batched_blas.hpp"
 #include "common/blocking.hpp"
@@ -11,10 +13,12 @@
 #include "common/parallel.hpp"
 #include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
+#include "reference/trsm_reference.hpp"
 #include "test_util.hpp"
 
-/// Cross-checks of the blocked TRSM/GETRS engine against the seed reference
-/// kernels over all uplo/diag combinations x 4 scalar types x edge shapes,
+/// Cross-checks of the register-tiled TRSM/GETRS engine against the seed's
+/// column-at-a-time solve (tests/reference) over all uplo/diag combinations
+/// x 4 scalar types x edge shapes,
 /// plus the persistent thread pool's invariants (no per-launch thread
 /// re-creation, exception propagation, nested inlining) and the
 /// runtime-blocking environment overrides.
@@ -59,7 +63,7 @@ TYPED_TEST_SUITE(TrsmKernelTyped, TrsmTypes);
 
 /// Blocked vs reference over every uplo/diag pair and shapes below, at, and
 /// well above the (env-shrunk) diagonal-block size, including n = 0/1 and
-/// RHS widths around the 4-column register tile.
+/// assorted RHS widths.
 TYPED_TEST(TrsmKernelTyped, BlockedMatchesReferenceAllUploDiag) {
   using T = TypeParam;
   ASSERT_TRUE(g_env_ready);
@@ -88,7 +92,7 @@ TYPED_TEST(TrsmKernelTyped, BlockedMatchesReferenceAllUploDiag) {
 }
 
 /// The pool-parallel solve (RHS columns split across threads) must agree
-/// with the reference kernel.
+/// with the oracle.
 TYPED_TEST(TrsmKernelTyped, ParallelMatchesReference) {
   using T = TypeParam;
   const index_t n = 130, nrhs = 37;
@@ -103,34 +107,165 @@ TYPED_TEST(TrsmKernelTyped, ParallelMatchesReference) {
 }
 
 /// Splitting the RHS columns across the pool must not change a single bit:
+/// a column's bits do not depend on which register tile it lands in, and
 /// each chunk's trailing updates pick the packed or the compact kernel from
 /// the WHOLE RHS width. With nb = 24 and 145 RHS on 4 threads, the last
 /// lower update of n = 40 and n = 130 (16 and 10 rows) is packed for the
 /// whole width but below the cutoff for one 36-column chunk; n = 20 runs
-/// the reference kernel, 7 RHS stay compact and n = 300 with 400 RHS stays
-/// packed throughout.
+/// the kernel alone, 7 RHS stay compact and n = 300 with 400 RHS stays
+/// packed throughout. Then every chunk boundary: RHS widths 1 .. 4 NR + 4
+/// put the 4-thread chunk starts on every column offset modulo NR, run at 4
+/// pool threads and nested inside a pool task (how a 1-thread pool runs
+/// it), and for a kernel-only solve every split point of the RHS into two
+/// separate solves returns the unsplit bytes.
 TYPED_TEST(TrsmKernelTyped, ParallelIsBitwiseBlocked) {
   using T = TypeParam;
   ASSERT_TRUE(g_env_ready);
   ASSERT_GT(max_threads(), 1);
+  constexpr index_t NR = TrsmTile<T>::NR;
+  std::uint64_t seed = 800;
+  auto same_bytes = [](const Matrix<T>& x, const Matrix<T>& y) {
+    return std::memcmp(x.data(), y.data(), x.bytes()) == 0;
+  };
+  auto check = [&](index_t n, index_t nrhs, Uplo uplo, Diag diag) {
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << n << " nrhs=" << nrhs << " uplo="
+                 << (uplo == Uplo::Lower ? "L" : "U")
+                 << " diag=" << (diag == Diag::Unit ? "unit" : "non-unit"));
+    Matrix<T> a = triangular_matrix<T>(n, uplo, ++seed);
+    Matrix<T> blocked = random_matrix<T>(n, nrhs, ++seed);
+    Matrix<T> parallel = to_matrix(blocked.view());
+    Matrix<T> nested = to_matrix(blocked.view());
+    trsm_left_blocked<T>(uplo, diag, a, blocked.view());
+    trsm_left_parallel<T>(uplo, diag, a, parallel.view());
+    EXPECT_TRUE(same_bytes(blocked, parallel)) << "4 pool threads";
+    parallel_for(2, [&](index_t i) {
+      if (i == 0) trsm_left_parallel<T>(uplo, diag, a, nested.view());
+    });
+    EXPECT_TRUE(same_bytes(blocked, nested)) << "inside a pool task";
+  };
   const index_t shapes[][2] = {{40, 145}, {130, 145}, {20, 145}, {130, 7},
                                {300, 400}};
-  std::uint64_t seed = 800;
   for (const auto& [n, nrhs] : shapes)
     for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-      for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
-        Matrix<T> a = triangular_matrix<T>(n, uplo, ++seed);
-        Matrix<T> blocked = random_matrix<T>(n, nrhs, ++seed);
-        Matrix<T> parallel = to_matrix(blocked.view());
-        trsm_left_blocked<T>(uplo, diag, a, blocked.view());
-        trsm_left_parallel<T>(uplo, diag, a, parallel.view());
-        EXPECT_EQ(std::memcmp(blocked.data(), parallel.data(),
-                              blocked.bytes()),
-                  0)
-            << "n=" << n << " nrhs=" << nrhs << " uplo="
-            << (uplo == Uplo::Lower ? "L" : "U")
-            << " diag=" << (diag == Diag::Unit ? "unit" : "non-unit");
-      }
+      for (Diag diag : {Diag::Unit, Diag::NonUnit}) check(n, nrhs, uplo, diag);
+  for (index_t n : {20, 130})
+    for (index_t nrhs = 1; nrhs <= 4 * NR + 4; ++nrhs)
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+        check(n, nrhs, uplo, Diag::NonUnit);
+  // Kernel-only solve (n <= nb = 24): no trailing update, so two separate
+  // solves split at any column give the bytes of the whole.
+  const index_t n = 21, nrhs = 2 * NR + 3;
+  for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    Matrix<T> a = triangular_matrix<T>(n, uplo, ++seed);
+    Matrix<T> whole = random_matrix<T>(n, nrhs, ++seed);
+    const Matrix<T> b0 = to_matrix(whole.view());
+    trsm_left_blocked<T>(uplo, Diag::NonUnit, a, whole.view());
+    for (index_t split = 1; split < nrhs; ++split) {
+      Matrix<T> parts = to_matrix(b0.view());
+      trsm_left_blocked<T>(uplo, Diag::NonUnit, a,
+                           parts.view().cols_range(0, split));
+      trsm_left_blocked<T>(uplo, Diag::NonUnit, a,
+                           parts.view().cols_range(split, nrhs - split));
+      EXPECT_TRUE(same_bytes(whole, parts)) << "split at column " << split;
+    }
+  }
+}
+
+/// The register-tiled kernel against the seed oracle over every uplo/diag
+/// pair, row counts around the vector height MR and the diagonal-block size,
+/// and RHS widths around the column tile NR. A's other triangle (and its
+/// diagonal, for Unit) holds NaN, which the solve must never read into a
+/// result. B is an interior view of a larger buffer (ld > n), and the guard
+/// entries around it must come back untouched. Run at this binary's
+/// nb = 24 (blocked above 24 rows) and at nb = 256 (the kernel alone).
+TYPED_TEST(TrsmKernelTyped, KernelMatchesReferenceOnInteriorViews) {
+  using T = TypeParam;
+  ASSERT_TRUE(g_env_ready);
+  constexpr index_t NR = TrsmTile<T>::NR;
+  const index_t shapes[] = {1, 2, 7, 8, 9, 15, 16, 17, 47, 48, 49, 63, 64,
+                            65, 130};
+  const index_t widths[] = {0, 1, NR - 1, NR, NR + 1, 13, 145};
+  const T nan{std::numeric_limits<real_t<T>>::quiet_NaN()};
+  constexpr index_t kGuard = 3;
+  for (const char* nb : {"24", "256"}) {
+    test::ScopedEnv env("HODLRX_TRSM_NB", nb);
+    blocking_detail::refresh_for_testing();
+    std::uint64_t seed = 3000;
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      for (Diag diag : {Diag::Unit, Diag::NonUnit})
+        for (index_t n : shapes)
+          for (index_t nrhs : widths) {
+            SCOPED_TRACE(::testing::Message()
+                         << "nb=" << nb << " n=" << n << " nrhs=" << nrhs
+                         << " uplo=" << (uplo == Uplo::Lower ? "L" : "U")
+                         << " diag=" << (diag == Diag::Unit ? "unit" : "non"));
+            Matrix<T> a = triangular_matrix<T>(n, uplo, ++seed);
+            for (index_t j = 0; j < n; ++j)
+              for (index_t i = 0; i < n; ++i) {
+                const bool other = uplo == Uplo::Lower ? i < j : i > j;
+                if (other || (i == j && diag == Diag::Unit)) a(i, j) = nan;
+              }
+            Matrix<T> buf =
+                random_matrix<T>(n + 2 * kGuard, nrhs + 2 * kGuard, ++seed);
+            const Matrix<T> before = to_matrix(buf.view());
+            MatrixView<T> b = buf.view().block(kGuard, kGuard, n, nrhs);
+            Matrix<T> expect = to_matrix(ConstMatrixView<T>(b));
+            trsm_left_reference<T>(uplo, diag, a, expect.view());
+            trsm_left_blocked<T>(uplo, diag, a, b);
+            EXPECT_LE(rel_error<T>(ConstMatrixView<T>(b), expect.view()),
+                      tol<T>());
+            index_t touched = 0;
+            for (index_t j = 0; j < buf.cols(); ++j)
+              for (index_t i = 0; i < buf.rows(); ++i) {
+                const bool inside = i >= kGuard && i < kGuard + n &&
+                                    j >= kGuard && j < kGuard + nrhs;
+                if (!inside && std::memcmp(&buf(i, j), &before(i, j),
+                                           sizeof(T)) != 0)
+                  ++touched;
+              }
+            EXPECT_EQ(touched, 0) << "guard entries around B changed";
+          }
+  }
+  blocking_detail::refresh_for_testing();
+  EXPECT_EQ(resolved_blocking<T>().trsm_nb, 24);
+}
+
+/// A and B in exact allocations (no slack after the last element) with
+/// n % MR != 0, so a read past the partial row block's storage is a heap
+/// overflow under AddressSanitizer. The kernel alone (nb = 256) and blocked
+/// (nb = 24).
+TYPED_TEST(TrsmKernelTyped, PartialRowBlockStaysInsideExactAllocation) {
+  using T = TypeParam;
+  constexpr index_t MR = TrsmTile<T>::MR;
+  constexpr index_t NR = TrsmTile<T>::NR;
+  const index_t shapes[] = {1, MR - 1, MR + 1, 2 * MR + 3, 3 * MR - 1, 53};
+  for (const char* nb : {"24", "256"}) {
+    test::ScopedEnv env("HODLRX_TRSM_NB", nb);
+    blocking_detail::refresh_for_testing();
+    std::uint64_t seed = 5000;
+    for (index_t n : shapes) {
+      if (n % MR == 0) continue;
+      for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+        for (Diag diag : {Diag::Unit, Diag::NonUnit}) {
+          const index_t nrhs = NR + 1;
+          const Matrix<T> a0 = triangular_matrix<T>(n, uplo, ++seed);
+          const Matrix<T> b0 = random_matrix<T>(n, nrhs, ++seed);
+          std::vector<T> a(a0.data(), a0.data() + n * n);
+          std::vector<T> b(b0.data(), b0.data() + n * nrhs);
+          Matrix<T> expect = to_matrix(b0.view());
+          trsm_left_reference<T>(uplo, diag, a0, expect.view());
+          trsm_left_blocked<T>(uplo, diag,
+                               ConstMatrixView<T>{a.data(), n, n, n},
+                               MatrixView<T>{b.data(), n, nrhs, n});
+          EXPECT_LE(rel_error<T>(ConstMatrixView<T>{b.data(), n, nrhs, n},
+                                 expect.view()),
+                    tol<T>())
+              << "nb=" << nb << " n=" << n;
+        }
+    }
+  }
+  blocking_detail::refresh_for_testing();
 }
 
 /// Blocked solves on strided sub-views (ld > rows) — the layout every
@@ -161,7 +296,7 @@ TYPED_TEST(TrsmKernelTyped, SubmatrixViews) {
 }
 
 /// getrs / getrs_parallel (blocked, pivots applied once) against a manual
-/// reference solve built from laswp + the seed kernels.
+/// reference solve built from laswp + the oracle.
 TYPED_TEST(TrsmKernelTyped, GetrsMatchesReferenceSolve) {
   using T = TypeParam;
   const index_t n = 150, nrhs = 9;
