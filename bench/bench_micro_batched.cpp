@@ -27,7 +27,6 @@
 #include "batched/interleave.hpp"
 #include "common/lapack.hpp"
 #include "common/parallel.hpp"
-#include "common/trsm_kernel.hpp"
 #include "lowrank/lowrank.hpp"
 // The seed Jacobi SVD, the baseline of the SVD tail rows (a test oracle).
 #include "../tests/reference/lapack_reference.hpp"
@@ -164,11 +163,6 @@ void bench_solves(index_t batch, index_t s, index_t nrhs, int repeats,
        time_best_with_setup(repeats, restore,
                             [&] { getrs_batched<double>(luv, pv, bv); }),
        2.0 * batch * s * s * nrhs);
-  emit(out, "trsm_batched", batch, s,
-       time_best_with_setup(
-           repeats, restore,
-           [&] { trsm_batched<double>(Uplo::Lower, Diag::Unit, luv, bv); }),
-       static_cast<double>(batch) * s * s * nrhs);
 }
 
 /// Sink keeping bench results alive across the timed lambdas.

@@ -1,16 +1,16 @@
 /// Microbenchmark of the register-tiled TRSM/GETRS engine against the
 /// seed's column-at-a-time solve (the test oracle,
-/// tests/reference/trsm_reference.hpp), per scalar type, plus the batched
-/// dispatcher in both execution modes and getrs on the HODLR factorization's
-/// leaf and K-block shapes. Emits BENCH_trsm.json so the solve-stage perf
-/// trajectory is tracked across PRs alongside BENCH_gemm.json.
+/// tests/reference/trsm_reference.hpp), per scalar type, plus getrs on the
+/// HODLR factorization's leaf and K-block shapes. Emits BENCH_trsm.json so
+/// the solve-stage perf trajectory is tracked across PRs alongside
+/// BENCH_gemm.json.
 ///
 /// Flags: --repeats N (default 3), --max-n N (cap the large dimension).
 
 #include "bench_util.hpp"
 
 #include "../tests/reference/trsm_reference.hpp"
-#include "batched/batched_blas.hpp"
+#include "common/lapack.hpp"
 #include "common/trsm_kernel.hpp"
 
 using namespace hodlrx;
@@ -100,45 +100,6 @@ void run_getrs_case(index_t n, index_t nrhs, int repeats,
   out.end_record();
 }
 
-void run_batched_case(index_t batch, index_t n, index_t nrhs, int repeats,
-                      bench::JsonArrayWriter& out) {
-  std::vector<Matrix<double>> a;
-  std::vector<Matrix<double>> b0;
-  for (index_t i = 0; i < batch; ++i) {
-    a.push_back(triangular_matrix<double>(n, Uplo::Lower, 100 + i));
-    b0.push_back(random_matrix<double>(n, nrhs, 200 + i));
-  }
-  std::vector<Matrix<double>> b = b0;
-  std::vector<ConstMatrixView<double>> av(a.begin(), a.end());
-  std::vector<MatrixView<double>> bv(b.begin(), b.end());
-  auto restore = [&] {
-    for (index_t i = 0; i < batch; ++i) copy<double>(b0[i].view(), bv[i]);
-  };
-  const double t_oracle = bench::time_best_with_setup(repeats, restore, [&] {
-    for (index_t i = 0; i < batch; ++i)
-      trsm_left_reference<double>(Uplo::Lower, Diag::NonUnit, av[i], bv[i]);
-  });
-  const double t_batched = bench::time_best_with_setup(repeats, restore, [&] {
-    trsm_batched<double>(Uplo::Lower, Diag::NonUnit, av, bv,
-                         BatchPolicy::kForceBatched);
-  });
-  const double work = static_cast<double>(batch) * n * n * nrhs;
-  std::printf("trsm_batched          d   batch=%lld n=%lld  loop-of-oracle "
-              "%8.2f GF/s  batched %8.2f GF/s\n",
-              static_cast<long long>(batch), static_cast<long long>(n),
-              work / t_oracle / 1e9, work / t_batched / 1e9);
-  out.begin_record();
-  out.field("case", "trsm_batched");
-  out.field("type", "d");
-  out.field("batch", batch);
-  out.field("n", n);
-  out.field("nrhs", nrhs);
-  out.field("oracle_gflops", work / t_oracle / 1e9);
-  out.field("kernel_gflops", work / t_batched / 1e9);
-  out.field("speedup", t_oracle / t_batched);
-  out.end_record();
-}
-
 /// getrs on one HODLR shape: an n x n leaf or K-block LU (ld n) against
 /// nrhs columns of a panel with leading dimension `ld`, as Algorithm 3
 /// solves a leaf against its rows of Ubig (ld = N) and a K block against
@@ -204,7 +165,6 @@ int main(int argc, char** argv) {
   run_trsm_case<std::complex<double>>("trsm", Uplo::Lower, mid, mid,
                                       args.repeats, out);
   run_getrs_case<double>(big, big, args.repeats, out);
-  run_batched_case(/*batch=*/256, /*n=*/64, /*nrhs=*/64, args.repeats, out);
   // Algorithm 3's leaf solves (line 3: a leaf LU against its rows of Ubig,
   // ld = N) and the solve stage's leaf solves (32 RHS and 1 RHS) ...
   run_hodlr_getrs_case("getrs_leaf", 64, 145, 65536, args.repeats, out);

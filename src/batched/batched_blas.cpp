@@ -11,9 +11,7 @@
 #include "common/fault.hpp"
 #include "common/flops.hpp"
 #include "common/parallel.hpp"
-#include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
-#include "device/backend.hpp"
 #include "device/device.hpp"
 
 namespace hodlrx {
@@ -89,18 +87,6 @@ void gemm_strided_batched(Op opa, Op opb, index_t m, index_t n, index_t k,
                           T* c, index_t ldc, index_t stride_c, index_t batch,
                           BatchPolicy policy) {
   if (batch == 0 || m == 0 || n == 0) return;
-  // Backend dispatch: with an async stream bound, the launch enqueues and
-  // returns; the body re-enters this function on a drain worker (where the
-  // in-stream-task flag forces the inline path below). Pointer+stride
-  // arguments are PODs, so a by-value capture snapshots the launch.
-  if (Stream* strm = deferring_stream()) {
-    strm->launch("gemm_strided_batched", [=] {
-      gemm_strided_batched<T>(opa, opb, m, n, k, alpha, a, lda, stride_a, b,
-                              ldb, stride_b, beta, c, ldc, stride_c, batch,
-                              policy);
-    });
-    return;
-  }
   DeviceContext::global().record_launch();
   const index_t ar = (opa == Op::N) ? m : k, ac = (opa == Op::N) ? k : m;
   const index_t br = (opb == Op::N) ? k : n, bc = (opb == Op::N) ? n : k;
@@ -186,41 +172,6 @@ void getrf_batched(std::span<const MatrixView<T>> a,
 }
 
 template <typename T>
-void trsm_batched(Uplo uplo, Diag diag, std::span<const ConstMatrixView<T>> a,
-                  std::span<const MatrixView<T>> b, BatchPolicy policy) {
-  HODLRX_REQUIRE(a.size() == b.size(), "trsm_batched: batch mismatch");
-  const index_t batch = static_cast<index_t>(b.size());
-  if (batch == 0) return;
-  // Backend dispatch: the span storage may not outlive the call, so the
-  // deferred launch owns copies of the views (the coefficient memory they
-  // point at is the caller's device memory, live until synchronization).
-  if (Stream* strm = deferring_stream()) {
-    std::vector<ConstMatrixView<T>> av(a.begin(), a.end());
-    std::vector<MatrixView<T>> bv(b.begin(), b.end());
-    strm->launch("trsm_batched", [uplo, diag, av = std::move(av),
-                                  bv = std::move(bv), policy] {
-      trsm_batched<T>(uplo, diag, std::span<const ConstMatrixView<T>>(av),
-                      std::span<const MatrixView<T>>(bv), policy);
-    });
-    return;
-  }
-  DeviceContext::global().record_launch();
-  index_t total_work = 0;
-  for (index_t i = 0; i < batch; ++i)
-    total_work += a[i].rows * a[i].rows * b[i].cols;
-  if (use_stream_mode(policy, batch, total_work)) {
-    // Few large problems: sequential problems, RHS columns of each split
-    // across the pool (trsm_left_parallel accounts the flops).
-    for (index_t i = 0; i < batch; ++i)
-      trsm_left_parallel<T>(uplo, diag, a[i], b[i]);
-  } else {
-    parallel_for_static(batch, [&](index_t i) {
-      trsm_left(uplo, diag, a[i], b[i]);
-    });
-  }
-}
-
-template <typename T>
 void getrs_batched(std::span<const ConstMatrixView<T>> lu,
                    std::span<const index_t* const> ipiv,
                    std::span<const MatrixView<T>> b, BatchPolicy policy) {
@@ -270,11 +221,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
                      (batch == 1 || (stride_a > 0 && stride_v > 0)),
                  "jacobi_svd_strided_batched: bad layout (need tall m >= n;"
                  " pass a^H for wide blocks)");
-  // The SVD returns host-readable convergence info, so it is a
-  // stream-SYNCHRONIZING operation (the cusolver info-query shape): work
-  // queued ahead of it on the bound stream completes first, then the
-  // decomposition itself runs inline on the caller.
-  if (Stream* strm = deferring_stream()) strm->synchronize();
   DeviceContext::global().record_launch();
   svd_stats::detail::add_batched_sweep();
   const R tol = R{32} * eps_v<T>;
@@ -476,9 +422,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
       BatchPolicy);                                                          \
   template void getrf_batched<T>(std::span<const MatrixView<T>>,             \
                                  std::span<index_t* const>, BatchPolicy);    \
-  template void trsm_batched<T>(Uplo, Diag,                                  \
-                                std::span<const ConstMatrixView<T>>,         \
-                                std::span<const MatrixView<T>>, BatchPolicy);\
   template void getrs_batched<T>(std::span<const ConstMatrixView<T>>,        \
                                  std::span<const index_t* const>,            \
                                  std::span<const MatrixView<T>>,             \

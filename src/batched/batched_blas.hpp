@@ -13,8 +13,8 @@
 ///
 /// Semantics mirror cuBLAS: every call is ONE device "kernel launch"
 /// (recorded on the DeviceContext) that processes `batch` independent
-/// problems. Execution is an OpenMP thread pool:
-///   - large batches -> one thread per problem ("batched kernel");
+/// problems. Execution is the persistent ThreadPool (common/thread_pool.hpp):
+///   - large batches -> one pool slot per problem ("batched kernel");
 ///   - small batches of large problems -> problems run with intra-problem
 ///     parallelism ("stream mode", the paper's CUDA-streams optimization for
 ///     the top tree levels).
@@ -56,16 +56,6 @@ template <typename T>
 void getrf_batched(std::span<const MatrixView<T>> a,
                    std::span<index_t* const> ipiv,
                    BatchPolicy policy = BatchPolicy::kAuto);
-
-/// Batched triangular solve B_i <- A_i^{-1} B_i (left side, no transpose),
-/// all problems sharing uplo/diag — the stand-in for cuBLAS `trsmBatched`.
-/// Batched mode runs one blocked solve per pool slot (per-thread workspaces
-/// reused across problems); stream mode runs the problems sequentially with
-/// the RHS columns of each split across the pool.
-template <typename T>
-void trsm_batched(Uplo uplo, Diag diag, std::span<const ConstMatrixView<T>> a,
-                  std::span<const MatrixView<T>> b,
-                  BatchPolicy policy = BatchPolicy::kAuto);
 
 /// Batched LU solve from getrf output: B_i <- A_i^{-1} B_i. Pivots are
 /// applied once per problem, then the L/U solves run through the blocked

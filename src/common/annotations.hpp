@@ -7,8 +7,8 @@
 /// Clang thread-safety annotations (no-ops elsewhere) and the annotated
 /// locking vocabulary the runtime uses.
 ///
-/// The concurrency invariants of the pool and backend layer — which fields a
-/// mutex guards, which functions require it held — used to live only in
+/// The concurrency invariants of the thread pool — which fields a mutex
+/// guards, which functions require it held — used to live only in
 /// comments. These macros turn them into declarations clang's
 /// -Wthread-safety analysis can check at compile time: a CI job builds the
 /// tree with clang and -Werror=thread-safety, so "forgot to take the lock"
@@ -27,7 +27,7 @@
 ///    lambda's definition (without the caller's lock set) and would warn, so
 ///    the runtime spells the loops out.
 ///  - Atomics are self-synchronizing and stay unannotated (fault_stats,
-///    backend_stats, device counters).
+///    device counters).
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -44,7 +44,6 @@
 #define HODLRX_PT_GUARDED_BY(x) HODLRX_TSA(pt_guarded_by(x))
 #define HODLRX_ACQUIRE(...) HODLRX_TSA(acquire_capability(__VA_ARGS__))
 #define HODLRX_RELEASE(...) HODLRX_TSA(release_capability(__VA_ARGS__))
-#define HODLRX_TRY_ACQUIRE(...) HODLRX_TSA(try_acquire_capability(__VA_ARGS__))
 #define HODLRX_REQUIRES(...) HODLRX_TSA(requires_capability(__VA_ARGS__))
 #define HODLRX_EXCLUDES(...) HODLRX_TSA(locks_excluded(__VA_ARGS__))
 #define HODLRX_RETURN_CAPABILITY(x) HODLRX_TSA(lock_returned(x))
@@ -62,35 +61,21 @@ class HODLRX_CAPABILITY("mutex") Mutex {
 
   void lock() HODLRX_ACQUIRE() { mu_.lock(); }
   void unlock() HODLRX_RELEASE() { mu_.unlock(); }
-  bool try_lock() HODLRX_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;
 };
 
-/// Scoped lock for Mutex. Supports mid-scope unlock()/lock() (the async
-/// backend's drain loop drops the lock around launch bodies); the destructor
-/// releases only if still held.
+/// Scoped lock for Mutex: held from construction to the end of the scope.
 class HODLRX_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) HODLRX_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~MutexLock() HODLRX_RELEASE() {
-    if (held_) mu_.unlock();
-  }
-  void unlock() HODLRX_RELEASE() {
-    mu_.unlock();
-    held_ = false;
-  }
-  void lock() HODLRX_ACQUIRE() {
-    mu_.lock();
-    held_ = true;
-  }
+  ~MutexLock() HODLRX_RELEASE() { mu_.unlock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
  private:
   Mutex& mu_;
-  bool held_ = true;
 };
 
 /// Condition variable that waits on a Mutex directly (condition_variable_any

@@ -36,7 +36,7 @@ template <typename T>
 void gemm(Op opa, Op opb, T alpha, NoDeduce<ConstMatrixView<T>> a,
           NoDeduce<ConstMatrixView<T>> b, T beta, MatrixView<T> c);
 
-/// Same contract as gemm, but splits the columns of C across OpenMP threads.
+/// Same contract as gemm, but splits the columns of C across the thread pool.
 /// Used by the batched engine's "stream mode" when a level has few, large
 /// blocks (the paper's CUDA-streams remark in Sec. III-C).
 template <typename T>

@@ -13,7 +13,7 @@ namespace {
 constexpr int kNumSites = static_cast<int>(Site::kNumSites);
 
 const char* const kSiteNames[kNumSites] = {"svd.sweeps", "aca.stall",
-                                           "workspace.alloc", "device.alloc"};
+                                           "workspace.alloc"};
 
 std::atomic<std::uint64_t> g_occurrence[kNumSites];
 std::atomic<std::uint64_t> g_injected[kNumSites];

@@ -39,7 +39,6 @@ enum class Site : int {
   kSvdSweeps = 0,   ///< "svd.sweeps": batched Jacobi sweep budget forced to 1
   kAcaStall,        ///< "aca.stall": aca() stalls after two crosses
   kWorkspaceAlloc,  ///< "workspace.alloc": WorkspaceArena growth throws once
-  kDeviceAlloc,     ///< "device.alloc": Backend::allocate throws once
   kNumSites,
 };
 

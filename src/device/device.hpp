@@ -11,8 +11,9 @@
 ///
 /// The paper runs on an NVIDIA V100 (32 GB, PCIe 3.0 x16 at ~12 GB/s
 /// measured) and launches cuBLAS batched kernels. This environment has no
-/// GPU, so the "device" is the host's OpenMP thread pool; this context keeps
-/// the *accounting* a GPU imposes so the experiments remain meaningful:
+/// GPU, so the "device" is the host's persistent ThreadPool; this context
+/// keeps the *accounting* a GPU imposes so the experiments remain
+/// meaningful:
 ///
 ///  - device-memory accounting (live/peak bytes against a capacity), so
 ///    benches can report the paper's `mem` column and check the 32 GB fit;

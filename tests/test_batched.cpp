@@ -63,27 +63,48 @@ TYPED_TEST(BatchedTyped, GemmBatchedStreamModeMatches) {
 
 TYPED_TEST(BatchedTyped, GemmStridedBatched) {
   using T = TypeParam;
-  const index_t m = 6, n = 4, k = 5, batch = 10;
-  std::vector<T> a(m * k * batch), b(k * n * batch), c(m * n * batch);
-  Rng rng(33);
-  rng.fill_uniform<T>(MatrixView<T>{a.data(), static_cast<index_t>(a.size()), 1,
-                                    static_cast<index_t>(a.size())});
-  rng.fill_uniform<T>(MatrixView<T>{b.data(), static_cast<index_t>(b.size()), 1,
-                                    static_cast<index_t>(b.size())});
-  std::vector<T> c_ref = c;
-  gemm_strided_batched<T>(Op::N, Op::N, m, n, k, T{1}, a.data(), m, m * k,
-                          b.data(), k, k * n, T{0}, c.data(), m, m * n, batch);
-  for (index_t i = 0; i < batch; ++i) {
-    ConstMatrixView<T> ai(a.data() + i * m * k, m, k, m);
-    ConstMatrixView<T> bi(b.data() + i * k * n, k, n, k);
-    MatrixView<T> ci{c_ref.data() + i * m * n, m, n, m};
-    gemm<T>(Op::N, Op::N, T{1}, ai, bi, T{0}, ci);
+  struct Shape {
+    index_t m, n, k, batch;
+    T alpha, beta;
+    bool shared_b;  // stride_b = 0: one B for the whole batch
+  };
+  // The base case, then edge shapes: degenerate 1x1, a register-tile tail
+  // (across-batch SIMD eligible when the batch fills a lane group), an
+  // uneven mid-size, a shape past the register tile and a stride-0 B.
+  const Shape shapes[] = {{6, 4, 5, 10, T{1}, T{0}, false},
+                          {1, 1, 1, 3, T{2}, T{1}, false},
+                          {3, 2, 4, 9, T{2}, T{1}, false},
+                          {7, 5, 6, 4, T{2}, T{1}, false},
+                          {33, 21, 17, 3, T{2}, T{1}, false},
+                          {6, 4, 5, 8, T{2}, T{1}, true}};
+  for (const Shape& sh : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << sh.m << " n=" << sh.n << " k=" << sh.k
+                 << " batch=" << sh.batch << " shared_b=" << sh.shared_b);
+    const index_t m = sh.m, n = sh.n, k = sh.k, batch = sh.batch;
+    const index_t stride_b = sh.shared_b ? 0 : k * n;
+    std::vector<T> a(m * k * batch), b(k * n * (sh.shared_b ? 1 : batch)),
+        c(m * n * batch);
+    auto flat = [](std::vector<T>& v) {
+      const index_t len = static_cast<index_t>(v.size());
+      return MatrixView<T>{v.data(), len, 1, len};
+    };
+    Rng rng(33);
+    rng.fill_uniform<T>(flat(a));
+    rng.fill_uniform<T>(flat(b));
+    rng.fill_uniform<T>(flat(c));
+    std::vector<T> c_ref = c;
+    gemm_strided_batched<T>(Op::N, Op::N, m, n, k, sh.alpha, a.data(), m,
+                            m * k, b.data(), k, stride_b, sh.beta, c.data(), m,
+                            m * n, batch);
+    for (index_t i = 0; i < batch; ++i) {
+      ConstMatrixView<T> ai(a.data() + i * m * k, m, k, m);
+      ConstMatrixView<T> bi(b.data() + i * stride_b, k, n, k);
+      MatrixView<T> ci{c_ref.data() + i * m * n, m, n, m};
+      gemm<T>(Op::N, Op::N, sh.alpha, ai, bi, sh.beta, ci);
+    }
+    EXPECT_LE(rel_error<T>(flat(c), flat(c_ref)), real_t<T>(1e-5));
   }
-  ConstMatrixView<T> cc(c.data(), static_cast<index_t>(c.size()), 1,
-                        static_cast<index_t>(c.size()));
-  ConstMatrixView<T> cr(c_ref.data(), static_cast<index_t>(c_ref.size()), 1,
-                        static_cast<index_t>(c_ref.size()));
-  EXPECT_LE(rel_error<T>(cc, cr), real_t<T>(1e-5));
 }
 
 TYPED_TEST(BatchedTyped, GetrfGetrsBatched) {

@@ -11,8 +11,6 @@
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
 #include "core/factorization.hpp"
-#include "device/backend.hpp"
-#include "device/device.hpp"
 #include "precond/gmres.hpp"
 #include "test_util.hpp"
 
@@ -34,7 +32,6 @@ TEST(FaultSpec, SiteNames) {
   EXPECT_STREQ(fault::site_name(Site::kSvdSweeps), "svd.sweeps");
   EXPECT_STREQ(fault::site_name(Site::kAcaStall), "aca.stall");
   EXPECT_STREQ(fault::site_name(Site::kWorkspaceAlloc), "workspace.alloc");
-  EXPECT_STREQ(fault::site_name(Site::kDeviceAlloc), "device.alloc");
 }
 
 TEST(FaultSpec, UnarmedSitesNeverFire) {
@@ -55,7 +52,7 @@ TEST(FaultSpec, FiresOnNthOccurrenceOnly) {
   EXPECT_EQ(fault_stats::injected(Site::kAcaStall), 1u);
   EXPECT_EQ(fault_stats::injected(), 1u);
   // Other sites stay unarmed.
-  EXPECT_FALSE(fault::should_fire(Site::kDeviceAlloc));
+  EXPECT_FALSE(fault::should_fire(Site::kWorkspaceAlloc));
   // reset() re-arms the spec.
   fault_stats::reset();
   EXPECT_FALSE(fault::should_fire(Site::kAcaStall));
@@ -64,9 +61,9 @@ TEST(FaultSpec, FiresOnNthOccurrenceOnly) {
 }
 
 TEST(FaultSpec, CommaSeparatedListArmsSeveralSites) {
-  ScopedEnv env("HODLRX_FAULT", "device.alloc,svd.sweeps:2");
+  ScopedEnv env("HODLRX_FAULT", "workspace.alloc,svd.sweeps:2");
   fault_stats::reset();
-  EXPECT_TRUE(fault::should_fire(Site::kDeviceAlloc));  // default nth = 1
+  EXPECT_TRUE(fault::should_fire(Site::kWorkspaceAlloc));  // default nth = 1
   EXPECT_FALSE(fault::should_fire(Site::kSvdSweeps));
   EXPECT_TRUE(fault::should_fire(Site::kSvdSweeps));
   EXPECT_FALSE(fault::should_fire(Site::kAcaStall));
@@ -114,73 +111,6 @@ TEST(WorkspaceFault, InterleaveSlotGrowthIsFaultCovered) {
   double* q = interleave_workspace<double>(count);
   EXPECT_EQ(p, q);
   EXPECT_EQ(fault_stats::injected(Site::kWorkspaceAlloc), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// device.alloc: Backend::allocate failure -> drain all streams, retry once.
-// ---------------------------------------------------------------------------
-
-TEST(DeviceAllocFault, BufferConstructionRecoversOnSyncBackend) {
-  ScopedEnv backend_env("HODLRX_BACKEND", "host");
-  ScopedEnv env("HODLRX_FAULT", "device.alloc");
-  fault_stats::reset();
-  DeviceContext& dev = DeviceContext::global();
-  const std::size_t live0 = dev.live_bytes();
-  {
-    DeviceBuffer buf(1 << 16);
-    ASSERT_NE(buf.data(), nullptr);
-    // The retried buffer is really usable and correctly accounted.
-    auto* p = buf.as<unsigned char>();
-    p[0] = 1;
-    p[(1 << 16) - 1] = 2;
-    EXPECT_EQ(dev.live_bytes(), live0 + (1 << 16));
-  }
-  EXPECT_EQ(dev.live_bytes(), live0);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
-  // Steady state: the next allocation goes through without a second firing.
-  DeviceBuffer again(4096);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-}
-
-TEST(DeviceAllocFault, RecoveryDrainsQueuedAsyncWorkBeforeRetry) {
-  // The rung mirrors what a real device must do: an allocation failure
-  // means queued frees have not landed yet, so drain every stream and
-  // retry synchronously. Queued async work must be COMPLETE by the time
-  // the constructor returns.
-  ScopedEnv backend_env("HODLRX_BACKEND", "host-async");
-  ScopedEnv env("HODLRX_FAULT", "device.alloc");
-  fault_stats::reset();
-  std::atomic<int> drained_work{0};
-  Stream s;
-  for (int i = 0; i < 5; ++i)
-    s.launch("queued", [&drained_work] { drained_work.fetch_add(1); });
-  EXPECT_EQ(drained_work.load(), 0);  // still queued, not executed
-  DeviceBuffer buf(1 << 16);
-  ASSERT_NE(buf.data(), nullptr);
-  // The failed first attempt forced the synchronize: the queue is empty.
-  EXPECT_EQ(drained_work.load(), 5);
-  EXPECT_EQ(s.pending(), 0u);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
-}
-
-TEST(DeviceAllocFault, LaterOccurrenceFiresWhereArmed) {
-  // device.alloc:3 — the third Backend::allocate in the process fires, the
-  // first two pass untouched. Pins that the site threads through the
-  // shared occurrence-counting spec machinery.
-  ScopedEnv backend_env("HODLRX_BACKEND", "host");
-  ScopedEnv env("HODLRX_FAULT", "device.alloc:3");
-  fault_stats::reset();
-  DeviceBuffer a(1024);
-  DeviceBuffer b(1024);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 0u);
-  DeviceBuffer c(1024);  // occurrence 3: fires, recovery heals it
-  ASSERT_NE(c.data(), nullptr);
-  EXPECT_EQ(fault_stats::injected(Site::kDeviceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kDeviceAlloc), 1u);
 }
 
 // ---------------------------------------------------------------------------

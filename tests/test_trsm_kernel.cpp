@@ -326,36 +326,6 @@ TYPED_TEST(TrsmKernelTyped, GetrsMatchesReferenceSolve) {
   EXPECT_LE(norm_fro(r) / norm_fro(b), 100 * eps_v<T>* n);
 }
 
-/// Batched TRSM in both execution modes against per-problem reference runs.
-TYPED_TEST(TrsmKernelTyped, TrsmBatchedBothModes) {
-  using T = TypeParam;
-  const index_t batch = 6;
-  std::vector<Matrix<T>> a0;
-  std::vector<Matrix<T>> expect;
-  const index_t sizes[] = {5, 24, 40, 40, 64, 100};
-  for (index_t i = 0; i < batch; ++i) {
-    a0.push_back(triangular_matrix<T>(sizes[i], Uplo::Lower, 300 + i));
-    Matrix<T> b = random_matrix<T>(sizes[i], 13, 400 + i);
-    expect.push_back(to_matrix(b.view()));
-    trsm_left_reference<T>(Uplo::Lower, Diag::Unit, a0.back(),
-                           expect.back().view());
-  }
-  for (BatchPolicy policy :
-       {BatchPolicy::kForceBatched, BatchPolicy::kForceStream}) {
-    std::vector<Matrix<T>> b;
-    std::vector<ConstMatrixView<T>> av;
-    std::vector<MatrixView<T>> bv;
-    for (index_t i = 0; i < batch; ++i) {
-      b.push_back(random_matrix<T>(sizes[i], 13, 400 + i));
-      av.push_back(a0[i]);
-      bv.push_back(b.back());
-    }
-    trsm_batched<T>(Uplo::Lower, Diag::Unit, av, bv, policy);
-    for (index_t i = 0; i < batch; ++i)
-      EXPECT_LE(rel_error(b[i], expect[i]), tol<T>()) << "problem " << i;
-  }
-}
-
 /// Batched LU solve in stream mode (getrs_parallel per problem) against the
 /// plain batched mode.
 TYPED_TEST(TrsmKernelTyped, GetrsBatchedStreamMatchesBatched) {

@@ -20,8 +20,8 @@ namespace hodlrx::test {
 
 /// Set (or clear, with nullptr) an environment variable for one scope and
 /// restore the previous value on exit. ctest legs and CI export variables
-/// such as HODLRX_FAULT and HODLRX_BACKEND process-wide, so a test that
-/// needs a specific value pins it instead of assuming a clean environment.
+/// such as HODLRX_FAULT process-wide, so a test that needs a specific value
+/// pins it instead of assuming a clean environment.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
