@@ -12,19 +12,13 @@
 /// Flags: --repeats N (default 3), --max-n N (cap problem sizes),
 /// --svd-only (run ONLY the SVD section; pins the pool to one thread unless
 /// HODLRX_NUM_THREADS is set, so the recorded speedup is the single-thread
-/// algorithmic win, not parallelism). --interleave-only (also single-thread
-/// by default) runs ONLY the across-batch SIMD stage benches — lane-major
-/// Jacobi sweep and small-GEMM tail vs their per-problem scalar kernels,
-/// plus the Jacobi driver at the resolved width vs HODLRX_BATCH_SIMD=1 —
-/// and emits BENCH_batch_simd.json.
+/// algorithmic win, not parallelism).
 
 #include <cstdlib>
 
 #include "bench_util.hpp"
 
-#include "batched/batch_kernels.hpp"
 #include "batched/batched_blas.hpp"
-#include "batched/interleave.hpp"
 #include "common/lapack.hpp"
 #include "common/parallel.hpp"
 #include "lowrank/lowrank.hpp"
@@ -278,199 +272,23 @@ void bench_svd(index_t batch, index_t l, index_t n, index_t m, int repeats,
   out.end_record();
 }
 
-void emit_stage(bench::JsonArrayWriter& out, const char* name, index_t batch,
-                index_t m, index_t n, index_t width, double t_scalar,
-                double t_batch) {
-  std::printf("%-28s batch=%5lld %4lldx%-4lld w=%2lld  %8.2fx vs per-problem "
-              "(%.3g ms -> %.3g ms)\n",
-              name, static_cast<long long>(batch), static_cast<long long>(m),
-              static_cast<long long>(n), static_cast<long long>(width),
-              t_scalar / t_batch, t_scalar * 1e3, t_batch * 1e3);
-  out.begin_record();
-  out.field("case", name);
-  out.field("batch", batch);
-  out.field("m", m);
-  out.field("n", n);
-  out.field("width", width);
-  out.field("t_scalar_s", t_scalar);
-  out.field("t_batch_s", t_batch);
-  out.field("speedup", t_scalar / t_batch);
-  out.end_record();
-}
-
-/// Stage-level across-batch SIMD kernels against the per-problem scalar
-/// kernels they replace, on ONE thread: the lane-major Jacobi sweep vs a
-/// jacobi_sweep_gram loop, and the lane-major small-GEMM tail vs a gemm
-/// loop. The interleave / deinterleave staging transposes are INSIDE the
-/// timed region — the reported speedup is what the batched drivers actually
-/// gain. The Jacobi shape is `batch` tall m x n problems.
-void bench_interleave_stages(index_t batch, index_t m, index_t n, int repeats,
-                             bench::JsonArrayWriter& out) {
-  const index_t w = resolved_blocking<double>().batch_simd_width;
-  if (w < 2 || w > 16) {
-    std::printf("resolved batch width %lld: across-batch kernels disabled; "
-                "skipping stage benches\n", static_cast<long long>(w));
-    return;
-  }
-
-  // --- Jacobi sweep stage -------------------------------------------------
-  {
-    const double jtol = 32 * eps_v<double>;
-    Matrix<double> w0 = random_matrix<double>(m, n * batch, 7200);
-    Matrix<double> v0(n, n * batch), g0(n, n * batch);
-    for (index_t i = 0; i < batch; ++i) {
-      for (index_t d = 0; d < n; ++d) v0(d, i * n + d) = 1.0;
-      gemm<double>(Op::C, Op::N, 1.0,
-                   ConstMatrixView<double>(w0.view().block(0, i * n, m, n)),
-                   ConstMatrixView<double>(w0.view().block(0, i * n, m, n)),
-                   0.0, g0.view().block(0, i * n, n, n));
-    }
-    Matrix<double> wm(m, n * batch), vm(n, n * batch), gm(n, n * batch);
-    // Accumulated-rotation scratch of the batch leg: one R per problem.
-    Matrix<double> rm(n, n * batch);
-    auto restore = [&] {
-      copy<double>(w0.view(), wm.view());
-      copy<double>(v0.view(), vm.view());
-      copy<double>(g0.view(), gm.view());
-    };
-    const double t_scalar = time_best_with_setup(repeats, restore, [&] {
-      for (index_t i = 0; i < batch; ++i)
-        jacobi_sweep_gram<double>(wm.view().block(0, i * n, m, n),
-                                  vm.view().block(0, i * n, n, n),
-                                  gm.view().block(0, i * n, n, n), jtol);
-    });
-    const double t_batch = time_best_with_setup(repeats, restore, [&] {
-      // The driver's sequence: interleave the Gram matrices, run the
-      // accumulated-rotation pair scan lane-major, scatter each lane's R,
-      // then apply w <- w*R and v <- v*R with the in-place narrow-product
-      // kernel.
-      for (index_t g = 0; g < batch; g += w) {
-        const index_t nlanes = std::min(w, batch - g);
-        double* buf = interleave_workspace<double>(
-            static_cast<std::size_t>(2 * n * n) * w);
-        double* gb = buf;
-        double* rb = gb + n * n * w;
-        const double* gsrc[16];
-        double* rdst[16];
-        for (index_t l = 0; l < nlanes; ++l) {
-          gsrc[l] = gm.data() + (g + l) * n * n;
-          rdst[l] = rm.data() + (g + l) * n * n;
-        }
-        batch_interleave<double>(n, n, gsrc, n, nlanes, w, gb);
-        bool rotated[16] = {};
-        jacobi_sweep_batch<double>(n, gb, rb, jtol, w, rotated);
-        batch_deinterleave<double>(n, n, rb, w, nlanes, rdst, n);
-      }
-      for (index_t i = 0; i < batch; ++i) {
-        const double* ri = rm.data() + i * n * n;
-        gemm_right_inplace<double>(m, n, wm.data() + i * m * n, m, ri, n);
-        gemm_right_inplace<double>(n, n, vm.data() + i * n * n, n, ri, n);
-      }
-    });
-    emit_stage(out, "jacobi_sweep_stage", batch, m, n, w, t_scalar, t_batch);
-  }
-
-  // --- small-GEMM tail stage ----------------------------------------------
-  {
-    const index_t sm = 4, sn = 4, sk = 32;
-    Matrix<double> a = random_matrix<double>(sm, sk * batch, 7300);
-    Matrix<double> b = random_matrix<double>(sk, sn * batch, 7301);
-    Matrix<double> c(sm, sn * batch);
-    const double t_scalar = time_best(repeats, [&] {
-      for (index_t i = 0; i < batch; ++i)
-        gemm<double>(Op::N, Op::N, 1.0,
-                     ConstMatrixView<double>(a.view().block(0, i * sk, sm, sk)),
-                     ConstMatrixView<double>(b.view().block(0, i * sn, sk, sn)),
-                     0.0, c.view().block(0, i * sn, sm, sn));
-    });
-    const double t_batch = time_best(repeats, [&] {
-      for (index_t g = 0; g < batch; g += w) {
-        const index_t nlanes = std::min(w, batch - g);
-        double* buf = interleave_workspace<double>(
-            static_cast<std::size_t>(sm * sk + sk * sn + sm * sn) * w);
-        double* ab = buf;
-        double* bb = ab + sm * sk * w;
-        double* cb = bb + sk * sn * w;
-        const double* asrc[16];
-        const double* bsrc[16];
-        double* cdst[16];
-        for (index_t l = 0; l < nlanes; ++l) {
-          asrc[l] = a.data() + (g + l) * sm * sk;
-          bsrc[l] = b.data() + (g + l) * sk * sn;
-          cdst[l] = c.data() + (g + l) * sm * sn;
-        }
-        batch_interleave<double>(sm, sk, asrc, sm, nlanes, w, ab);
-        batch_interleave<double>(sk, sn, bsrc, sk, nlanes, w, bb);
-        small_gemm_batch<double>(sm, sn, sk, ab, bb, cb, w);
-        batch_deinterleave_axpby<double>(1.0, sm, sn, cb, w, nlanes, 0.0,
-                                         cdst, sm);
-      }
-    });
-    g_sink = g_sink + c(0, 0);
-    emit_stage(out, "small_gemm_stage", batch, sm, sn, w, t_scalar, t_batch);
-  }
-}
-
-/// Driver-level cross-check of the same win: the full strided-batched
-/// Jacobi driver under the RESOLVED batch width vs HODLRX_BATCH_SIMD=1 (the
-/// bit-for-bit scalar fallback), so BENCH_batch_simd.json records both the
-/// isolated stage speedup and what survives end-to-end dispatch.
-void bench_interleave_drivers(index_t batch, index_t m, index_t n,
-                              int repeats, bench::JsonArrayWriter& out) {
-  const index_t w = resolved_blocking<double>().batch_simd_width;
-  Matrix<double> a0 = random_matrix<double>(m, n * batch, 7400);
-  Matrix<double> a(m, n * batch);
-  auto restore = [&] { copy<double>(a0.view(), a.view()); };
-  std::vector<double> sig(static_cast<std::size_t>(n) * batch);
-  Matrix<double> v(n, n * batch);
-  auto svd_leg = [&] {
-    return time_best_with_setup(repeats, restore, [&] {
-      jacobi_svd_strided_batched<double>(a.data(), m, m * n, m, n, sig.data(),
-                                         n, v.data(), n, n * n, batch);
-    });
-  };
-  const double t_svd = svd_leg();
-  setenv("HODLRX_BATCH_SIMD", "1", /*overwrite=*/1);
-  blocking_detail::refresh_for_testing();
-  const double t_svd1 = svd_leg();
-  unsetenv("HODLRX_BATCH_SIMD");
-  blocking_detail::refresh_for_testing();
-  emit_stage(out, "jacobi_driver_vs_width1", batch, m, n, w, t_svd1, t_svd);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --svd-only / --interleave-only run just that section; either pins the
-  // pool to ONE thread (unless the caller overrides) BEFORE first pool use,
-  // so the emitted speedup isolates the engine's algorithmic win from
-  // parallelism.
-  bool svd_only = false, interleave_only = false;
+  // --svd-only runs just that section and pins the pool to ONE thread
+  // (unless the caller overrides) BEFORE first pool use, so the emitted
+  // speedup isolates the engine's algorithmic win from parallelism.
+  bool svd_only = false;
   std::vector<char*> rest;
   for (int i = 0; i < argc; ++i) {
     if (i > 0 && !std::strcmp(argv[i], "--svd-only"))
       svd_only = true;
-    else if (i > 0 && !std::strcmp(argv[i], "--interleave-only"))
-      interleave_only = true;
     else
       rest.push_back(argv[i]);
   }
-  if (svd_only || interleave_only)
-    setenv("HODLRX_NUM_THREADS", "1", /*overwrite=*/0);
+  if (svd_only) setenv("HODLRX_NUM_THREADS", "1", /*overwrite=*/0);
   bench::Args args = bench::Args::parse(static_cast<int>(rest.size()),
                                         rest.data());
-  if (interleave_only) {
-    // Across-batch SIMD kernels vs the per-problem scalar tails, one
-    // thread, on 64 problems of 256x32.
-    bench::JsonArrayWriter il_out("BENCH_batch_simd.json");
-    bench::emit_blocking_records(il_out);
-    std::printf("== across-batch SIMD stages vs per-problem tails "
-                "(%d threads) ==\n", max_threads());
-    bench_interleave_stages(64, 256, 32, args.repeats, il_out);
-    bench_interleave_drivers(64, 256, 32, args.repeats, il_out);
-    std::printf("wrote BENCH_batch_simd.json\n");
-    return 0;
-  }
   {
     bench::JsonArrayWriter svd_out("BENCH_svd_batched.json");
     bench::emit_blocking_records(svd_out);

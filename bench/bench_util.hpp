@@ -291,14 +291,12 @@ void emit_blocking_record(JsonArrayWriter& out) {
   out.field("nc", rb.nc);
   out.field("trsm_nb", rb.trsm_nb);
   out.field("qr_nb", rb.qr_nb);
-  out.field("batch_simd_width", rb.batch_simd_width);
   out.field("tile_src", blocking_source_name(rb.tile_src));
   out.field("mc_src", blocking_source_name(rb.mc_src));
   out.field("kc_src", blocking_source_name(rb.kc_src));
   out.field("nc_src", blocking_source_name(rb.nc_src));
   out.field("trsm_src", blocking_source_name(rb.trsm_src));
   out.field("qr_src", blocking_source_name(rb.qr_src));
-  out.field("batch_src", blocking_source_name(rb.batch_src));
   out.end_record();
 }
 }  // namespace detail

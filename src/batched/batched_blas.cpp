@@ -4,12 +4,8 @@
 #include <atomic>
 #include <complex>
 
-#include "batched/batch_kernels.hpp"
-#include "batched/interleave.hpp"
-#include "common/blocking.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/flops.hpp"
 #include "common/parallel.hpp"
 #include "common/workspace.hpp"
 #include "device/device.hpp"
@@ -17,19 +13,6 @@
 namespace hodlrx {
 
 namespace {
-
-/// The widest compiled lane width (batch_kernels.cpp dispatch table).
-constexpr index_t kMaxBatchLanes = 16;
-
-/// Across-batch SIMD eligibility of one batched launch: the resolved width
-/// (1 = disabled, the bit-for-bit scalar rung) and enough problems to fill
-/// at least one full lane group. Uniform shape is structural for the strided
-/// entry points (one m/n/k for the whole batch).
-template <typename T>
-index_t batch_lanes(index_t batch) {
-  const index_t w = resolved_blocking<T>().batch_simd_width;
-  return (w > 1 && batch >= w) ? w : 1;
-}
 
 /// Below this per-problem work (~32^3 multiply-adds) intra-problem threading
 /// costs more in fork/join than it recovers; such problems always run one
@@ -90,50 +73,6 @@ void gemm_strided_batched(Op opa, Op opb, index_t m, index_t n, index_t k,
   DeviceContext::global().record_launch();
   const index_t ar = (opa == Op::N) ? m : k, ac = (opa == Op::N) ? k : m;
   const index_t br = (opb == Op::N) ? k : n, bc = (opb == Op::N) ? n : k;
-  // Across-batch small-GEMM tail: problems at or below one register tile
-  // (m <= MR, n <= NR) never fill the packed engine's micro-kernel and
-  // would run as short per-column GEMVs, one problem at a time. Interleave
-  // lane groups of W problems into lane-major layout instead, so every
-  // multiply-add advances W problems at full vector width. op/conj and
-  // stride-0 broadcast operands are absorbed by the gather; alpha/beta are
-  // fused into the scatter, so C is never staged in.
-  {
-    const ResolvedBlocking& rb = resolved_blocking<T>();
-    const index_t w = batch_lanes<T>(batch);
-    if (w > 1 && policy != BatchPolicy::kForceStream && k > 0 &&
-        m <= rb.mr && n <= rb.nr && k <= rb.kc) {
-      const index_t ngroups = (batch + w - 1) / w;
-      batch_simd_stats::detail::add_gemm_groups(
-          static_cast<std::uint64_t>(ngroups));
-      parallel_for_static(ngroups, [&](index_t gi) {
-        const index_t i0 = gi * w;
-        const index_t nl = std::min(w, batch - i0);
-        T* buf = interleave_workspace<T>(
-            static_cast<std::size_t>(m * k + k * n + m * n) * w);
-        T* a_il = buf;
-        T* b_il = a_il + static_cast<std::size_t>(m) * k * w;
-        T* c_il = b_il + static_cast<std::size_t>(k) * n * w;
-        const T* asrc[kMaxBatchLanes];
-        const T* bsrc[kMaxBatchLanes];
-        T* cdst[kMaxBatchLanes];
-        for (index_t l = 0; l < nl; ++l) {
-          asrc[l] = a + (i0 + l) * stride_a;
-          bsrc[l] = b + (i0 + l) * stride_b;
-          cdst[l] = c + (i0 + l) * stride_c;
-        }
-        batch_interleave_op<T>(opa, m, k, asrc, lda, nl, w, a_il);
-        batch_interleave_op<T>(opb, k, n, bsrc, ldb, nl, w, b_il);
-        small_gemm_batch<T>(m, n, k, a_il, b_il, c_il, w);
-        batch_deinterleave_axpby<T>(alpha, m, n, c_il, w, nl, beta, cdst,
-                                    ldc);
-      });
-      FlopCounter::instance().add(
-          FlopCounter::kGemm,
-          static_cast<std::uint64_t>(batch) *
-              FlopCounter::gemm_flops<T>(m, n, k));
-      return;
-    }
-  }
   auto run = [&](index_t i, bool threaded) {
     ConstMatrixView<T> ai(a + i * stride_a, ar, ac, lda);
     ConstMatrixView<T> bi(b + i * stride_b, br, bc, ldb);
@@ -232,17 +171,10 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
   // thread's arena (kScratch slot; the internal GEMMs use the pack slots)
   // and registered as device memory. Only the sweep launches below touch
   // it; it is dead by finalize time.
-  // When the across-batch sweep can engage (batch_lanes > 1 for the full
-  // batch), the same carve also holds the accumulated-rotation scratch: one
-  // n x n R per problem. One get() call — a second get() on the same slot
-  // would invalidate the first pointer.
   const std::size_t gcount =
       static_cast<std::size_t>(batch) * static_cast<std::size_t>(n) * n;
-  const std::size_t rcount = batch_lanes<T>(batch) > 1 ? gcount : 0;
-  T* g = WorkspaceArena::local().get<T>(gcount + rcount,
-                                        WorkspaceArena::kScratch);
-  T* r = g + gcount;
-  DeviceAllocation da((gcount + rcount) * sizeof(T));
+  T* g = WorkspaceArena::local().get<T>(gcount, WorkspaceArena::kScratch);
+  DeviceAllocation da(gcount * sizeof(T));
   // V_i <- I in one pool launch.
   DeviceContext::global().record_launch();
   parallel_for_static(batch, [&](index_t i) {
@@ -264,9 +196,6 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
   std::vector<char> rotated(static_cast<std::size_t>(batch));
   std::vector<ConstMatrixView<T>> gav, gbv;
   std::vector<MatrixView<T>> gcv;
-  // Accumulated-rotation apply step (across-batch sweeps only): the
-  // problems whose R must be applied this sweep.
-  std::vector<index_t> rlist;
   while (!active.empty() && info.sweeps < max_sweeps) {
     const index_t nact = static_cast<index_t>(active.size());
     // (a) Refresh the active problems' Gram matrices in ONE batched GEMM
@@ -286,78 +215,14 @@ SvdBatchInfo jacobi_svd_strided_batched(T* a, index_t lda, index_t stride_a,
     // ... then (b) ONE pool launch rotates every active problem once.
     svd_stats::detail::add_sweep_launch();
     DeviceContext::global().record_launch();
-    const index_t lanes = batch_lanes<T>(nact);
-    if (lanes > 1) {
-      // Across-batch sweep in accumulated-rotation form: lane groups are
-      // re-formed from the COMPACTED active set each sweep (the gather
-      // pointers index through `active`), so convergence compaction and
-      // SIMD lanes compose. Only the small n x n Gram matrix is interleaved
-      // — the pair scan rotates it lane-major while accumulating every
-      // rotation into a per-lane R, and the tall factor is updated ONCE per
-      // sweep as w <- w*R below, at engine speed, instead of being staged
-      // through the lane-major layout (where the scalar per-problem column
-      // rotation already vectorizes and the staging is pure traffic). The
-      // Gram matrix is not scattered back — the next sweep's batched GEMM
-      // refreshes it from the rotated factor, and finalize never reads it.
-      const index_t ngroups = (nact + lanes - 1) / lanes;
-      batch_simd_stats::detail::add_jacobi_groups(
-          static_cast<std::uint64_t>(ngroups));
-      parallel_for_static(ngroups, [&](index_t gj) {
-        const index_t j0 = gj * lanes;
-        const index_t nl = std::min(lanes, nact - j0);
-        const std::size_t ncnt =
-            static_cast<std::size_t>(n) * n * static_cast<std::size_t>(lanes);
-        T* buf = interleave_workspace<T>(2 * ncnt);
-        T* g_il = buf;
-        T* r_il = g_il + ncnt;
-        T* gp[kMaxBatchLanes];
-        T* rp[kMaxBatchLanes];
-        for (index_t l = 0; l < nl; ++l) {
-          const index_t i = active[static_cast<std::size_t>(j0 + l)];
-          gp[l] = g + i * n * n;
-          rp[l] = r + i * n * n;
-        }
-        batch_interleave<T>(n, n, gp, n, nl, lanes, g_il);
-        bool rot[kMaxBatchLanes] = {};
-        jacobi_sweep_batch<T>(n, g_il, r_il, tol, lanes, rot);
-        batch_deinterleave<T>(n, n, r_il, lanes, nl, rp, n);
-        for (index_t l = 0; l < nl; ++l)
-          rotated[static_cast<std::size_t>(
-              active[static_cast<std::size_t>(j0 + l)])] = rot[l] ? 1 : 0;
-      });
-      // Apply the accumulated rotations: w_i <- w_i * R_i and v_i <- v_i *
-      // R_i for every problem that rotated (R_i = I elsewhere — skipping is
-      // exact), in ONE pool launch of the in-place narrow-product kernel
-      // (the packed engine would need a separate C plus a copy-back pass,
-      // doubling the tall factor's per-sweep traffic).
-      rlist.clear();
-      for (const index_t i : active)
-        if (rotated[static_cast<std::size_t>(i)]) rlist.push_back(i);
-      const index_t nrot = static_cast<index_t>(rlist.size());
-      if (nrot > 0) {
-        DeviceContext::global().record_launch();
-        parallel_for_static(nrot, [&](index_t j) {
-          const index_t i = rlist[static_cast<std::size_t>(j)];
-          const T* ri = r + i * n * n;
-          gemm_right_inplace<T>(m, n, a + i * stride_a, lda, ri, n);
-          gemm_right_inplace<T>(n, n, v + i * stride_v, ldv, ri, n);
-        });
-        FlopCounter::instance().add(
-            FlopCounter::kGemm,
-            static_cast<std::uint64_t>(nrot) *
-                (FlopCounter::gemm_flops<T>(m, n, n) +
-                 FlopCounter::gemm_flops<T>(n, n, n)));
-      }
-    } else {
-      parallel_for_static(nact, [&](index_t j) {
-        const index_t i = active[static_cast<std::size_t>(j)];
-        MatrixView<T> wi{a + i * stride_a, m, n, lda};
-        MatrixView<T> vi{v + i * stride_v, n, n, ldv};
-        MatrixView<T> gi{g + i * n * n, n, n, n};
-        rotated[static_cast<std::size_t>(i)] =
-            jacobi_sweep_gram<T>(wi, vi, gi, tol) ? 1 : 0;
-      });
-    }
+    parallel_for_static(nact, [&](index_t j) {
+      const index_t i = active[static_cast<std::size_t>(j)];
+      MatrixView<T> wi{a + i * stride_a, m, n, lda};
+      MatrixView<T> vi{v + i * stride_v, n, n, ldv};
+      MatrixView<T> gi{g + i * n * n, n, n, n};
+      rotated[static_cast<std::size_t>(i)] =
+          jacobi_sweep_gram<T>(wi, vi, gi, tol) ? 1 : 0;
+    });
     ++info.sweeps;
     std::erase_if(active,
                   [&](index_t i) { return !rotated[static_cast<std::size_t>(i)]; });

@@ -20,7 +20,9 @@
 ///     the top tree levels).
 /// The pointer-array interface generalizes cuBLAS slightly by allowing
 /// per-problem shapes; the strided interface requires uniform shapes, like
-/// the real `gemmStridedBatched`.
+/// the real `gemmStridedBatched`. Both run every problem through the same
+/// per-problem kernel, so in batched mode a problem's result is bitwise
+/// the one it gets alone, whatever batch it runs in.
 
 namespace hodlrx {
 
@@ -112,7 +114,8 @@ struct SvdBatchInfo {
 /// problems are compacted out of the active set, and the loop exits early
 /// once the whole batch has converged. A final pool launch sorts and
 /// normalizes every problem. Every batch takes this path, whatever its size,
-/// so the bits never depend on the pool size.
+/// so a problem's bits depend neither on the pool size nor on the batch it
+/// runs in.
 ///
 /// With `recover = true` (the recovery ladder; recompress_batched under
 /// OnBreakdown::kRecover passes it) problems that exhaust the synchronized

@@ -41,13 +41,9 @@
 #define HODLRX_CAPABILITY(x) HODLRX_TSA(capability(x))
 #define HODLRX_SCOPED_CAPABILITY HODLRX_TSA(scoped_lockable)
 #define HODLRX_GUARDED_BY(x) HODLRX_TSA(guarded_by(x))
-#define HODLRX_PT_GUARDED_BY(x) HODLRX_TSA(pt_guarded_by(x))
 #define HODLRX_ACQUIRE(...) HODLRX_TSA(acquire_capability(__VA_ARGS__))
 #define HODLRX_RELEASE(...) HODLRX_TSA(release_capability(__VA_ARGS__))
 #define HODLRX_REQUIRES(...) HODLRX_TSA(requires_capability(__VA_ARGS__))
-#define HODLRX_EXCLUDES(...) HODLRX_TSA(locks_excluded(__VA_ARGS__))
-#define HODLRX_RETURN_CAPABILITY(x) HODLRX_TSA(lock_returned(x))
-#define HODLRX_NO_THREAD_SAFETY_ANALYSIS HODLRX_TSA(no_thread_safety_analysis)
 
 namespace hodlrx {
 

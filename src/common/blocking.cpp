@@ -80,16 +80,6 @@ TileDims model_tile(const HwInfo& hw) {
   return GemmTiles<T>::kWide;
 }
 
-/// Round a requested across-batch lane count down to a compiled width: the
-/// batch kernels (batch_kernels.cpp) instantiate one fully unrolled body per
-/// power-of-two width up to 16 (the widest possible lane count: 64-byte
-/// AVX-512 registers over 4-byte floats).
-index_t supported_batch_width(index_t w) {
-  index_t s = 1;
-  while (s * 2 <= w && s < 16) s *= 2;
-  return s;
-}
-
 }  // namespace
 
 template <typename T>
@@ -114,12 +104,6 @@ ResolvedBlocking model_blocking(const HwInfo& hw, TileDims tile) {
   rb.mr = tile.mr;
   rb.nr = tile.nr;
   rb.tile_src = BlockingSource::kProbe;
-  // Across-batch SIMD width: one problem per lane of the widest register the
-  // feature bits promise (hwinfo().simd_bytes; 0 means scalar-only). A lane
-  // is one full element — complex types get correspondingly fewer lanes.
-  rb.batch_simd_width = supported_batch_width(
-      static_cast<index_t>(hw.simd_bytes / sizeof(T)));
-  rb.batch_src = BlockingSource::kProbe;
   const index_t szT = static_cast<index_t>(sizeof(T));
   const index_t l1 = static_cast<index_t>(hw.l1d_bytes);
   const index_t l2 = static_cast<index_t>(hw.l2_bytes);
@@ -199,10 +183,6 @@ ResolvedBlocking resolve() {
   apply_env("HODLRX_GEMM_NC", rb.nr, rb.nc, rb.nc_src);
   apply_env("HODLRX_TRSM_NB", 8, rb.trsm_nb, rb.trsm_src);
   apply_env("HODLRX_QR_NB", 1, rb.qr_nb, rb.qr_src);
-  // Across-batch lane count: the override is rounded down to a compiled
-  // width, so any positive value is safe to request (1 = scalar fallback).
-  apply_env("HODLRX_BATCH_SIMD", 1, rb.batch_simd_width, rb.batch_src);
-  rb.batch_simd_width = supported_batch_width(rb.batch_simd_width);
   blocking_stats::g_resolutions.fetch_add(1, std::memory_order_relaxed);
   return rb;
 }

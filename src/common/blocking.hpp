@@ -10,8 +10,7 @@
 /// GEMM cache blocking (MC/KC/NC), the register-tile shape (MR/NR, which
 /// selects the micro-kernel variant in gemm_kernel.cpp), the TRSM
 /// diagonal-block size and the QR panel width — resolved once per scalar
-/// type and consumed by every engine (gemm_kernel, trsm_kernel, lapack,
-/// batched_blas).
+/// type and consumed by every engine (gemm_kernel, trsm_kernel, lapack).
 ///
 /// Resolution precedence, per field:
 ///   1. Environment override (HODLRX_GEMM_{MC,KC,NC}, HODLRX_TRSM_NB,
@@ -50,18 +49,19 @@ struct ResolvedBlocking {
   index_t mc = 0, kc = 0, nc = 0;  ///< GEMM cache blocking
   index_t trsm_nb = 0;     ///< TRSM diagonal-block size
   index_t qr_nb = 0;       ///< QR panel width
-  /// Problems per SIMD lane-group in the across-batch kernels
-  /// (batch_kernels.hpp): HODLRX_BATCH_SIMD override > hwinfo().simd_bytes /
-  /// sizeof(T) > 1. Width 1 disables interleaving — every batched launch
-  /// takes the per-problem reference path, bit-for-bit.
-  index_t batch_simd_width = 1;
   BlockingSource tile_src = BlockingSource::kStatic;
   BlockingSource mc_src = BlockingSource::kStatic;
   BlockingSource kc_src = BlockingSource::kStatic;
   BlockingSource nc_src = BlockingSource::kStatic;
   BlockingSource trsm_src = BlockingSource::kStatic;
   BlockingSource qr_src = BlockingSource::kStatic;
-  BlockingSource batch_src = BlockingSource::kStatic;
+  /// Constant stand-ins for the retired across-batch SIMD width: every
+  /// batched launch runs one problem at a time. Only pipebench/pipeline.cpp
+  /// reads them (its blocking run record); the next change to the benchmark
+  /// drops those reads, and these with them. Library, test and bench code
+  /// must not use them.
+  static constexpr index_t batch_simd_width = 1;
+  static constexpr BlockingSource batch_src = BlockingSource::kStatic;
 };
 
 /// The resolved blocking for scalar type T (float, double, complex<float>,

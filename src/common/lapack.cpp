@@ -738,8 +738,6 @@ bool jacobi_sweep_gram(MatrixView<T> w, MatrixView<T> v, MatrixView<T> g,
       // the convergence test never feeds sqrt a negative.
       const R alpha = std::max(R{0}, ScalarTraits<T>::real(g(p, p)));
       const R beta = std::max(R{0}, ScalarTraits<T>::real(g(q, q)));
-      // Rotation parameters shared with the across-batch sweep
-      // (lapack.hpp::jacobi_rotation_params) — same formulas bit-for-bit.
       const JacobiRotation<T> rot =
           jacobi_rotation_params<T>(alpha, beta, g(p, q), tol, gmax);
       if (!rot.rotate) continue;
@@ -859,14 +857,7 @@ SvdInfo jacobi_svd_inplace(MatrixView<T> w, MatrixView<T> v, real_t<T>* s) {
       ++info.sweeps;
     }
     info.converged = !rotated;
-    if (!info.converged) {
-      svd_stats::detail::add_nonconverged(1);
-#ifndef NDEBUG
-      HODLRX_REQUIRE(false, "jacobi_svd: not converged after "
-                                << info.sweeps
-                                << " sweeps (raise HODLRX_SVD_SWEEPS)");
-#endif
-    }
+    if (!info.converged) svd_stats::detail::add_nonconverged(1);
   }
   jacobi_finalize<T>(w, v, s);
   return info;

@@ -222,20 +222,13 @@ struct SvdInfo {
   bool converged = true;
 };
 
-/// The per-pair parameter step of one one-sided Jacobi rotation, shared by
-/// jacobi_sweep_gram and the across-batch sweep (jacobi_sweep_batch) so
-/// both compute EXACTLY the same (c, s) from the same Gram entries — the
-/// formulas cannot drift apart. `alpha`/`beta` are the (already
+/// The per-pair parameter step of one one-sided Jacobi rotation, the pair
+/// test of jacobi_sweep_gram. `alpha`/`beta` are the (already
 /// non-negative-clamped) diagonal Gram entries, `gamma` the off-diagonal
 /// one and `gmax` the LARGEST Gram diagonal of the problem (sampled at
 /// sweep start — the scale reference of the deflation test below);
 /// `rotate == false` means the pair passed the convergence or deflation
-/// test and (c, s) = (1, 0) is the identity rotation. Divisions and the
-/// phase product are by REAL scalars only: this inline helper is also
-/// instantiated in the batch-kernel TU, which is compiled with
-/// -fcx-limited-range, and the linker keeps ONE copy, so a complex/complex
-/// division here would silently take the limited-range form whenever that
-/// TU's instantiation wins.
+/// test and (c, s) = (1, 0) is the identity rotation.
 template <typename T>
 struct JacobiRotation {
   real_t<T> c{1};
@@ -310,8 +303,8 @@ void jacobi_finalize(MatrixView<T> w, MatrixView<T> v, real_t<T>* s);
 /// `s` with the descending singular values, so A = U diag(s) V^H. "Blocked"
 /// = each sweep's pair dot products come from one Gram GEMM
 /// (jacobi_sweep_gram) instead of scalar loops. Non-convergence within
-/// svd_max_sweeps() is counted in svd_stats, reported in the result, and
-/// HODLRX_REQUIREd in debug builds.
+/// svd_max_sweeps() is counted in svd_stats and reported in the result, in
+/// every build type; the caller decides what it means.
 template <typename T>
 SvdInfo jacobi_svd_inplace(MatrixView<T> w, MatrixView<T> v, real_t<T>* s);
 

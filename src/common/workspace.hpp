@@ -30,16 +30,11 @@ namespace hodlrx {
 class WorkspaceArena {
  public:
   /// Buffer roles. Each slot is an independent buffer so a kernel can hold
-  /// an A-pack and a B-pack simultaneously. kInterleave is the lane-major
-  /// staging buffer of the across-batch SIMD kernels (batched/interleave.hpp)
-  /// — a separate slot because batched launches park live QR/Gram workspace
-  /// in the OWNER's kScratch while worker tasks (including the owner thread
-  /// itself, which participates in the pool) interleave their lane groups.
+  /// an A-pack and a B-pack simultaneously.
   enum Slot : std::size_t {
     kPackA = 0,
     kPackB = 1,
     kScratch = 2,
-    kInterleave = 3,
     kNumSlots
   };
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "batched/batched_blas.hpp"
 #include "device/device.hpp"
 #include "test_util.hpp"
@@ -68,12 +70,15 @@ TYPED_TEST(BatchedTyped, GemmStridedBatched) {
     T alpha, beta;
     bool shared_b;  // stride_b = 0: one B for the whole batch
   };
-  // The base case, then edge shapes: degenerate 1x1, a register-tile tail
-  // (across-batch SIMD eligible when the batch fills a lane group), an
-  // uneven mid-size, a shape past the register tile and a stride-0 B.
+  // The base case, then edge shapes: degenerate 1x1, problems within one
+  // register tile in batches of 9 and 17 (more than any SIMD register holds
+  // lanes), an uneven mid-size, a shape past the register tile and a
+  // stride-0 B. Every problem must be bitwise the per-problem gemm: its bits
+  // may not depend on the batch it runs in.
   const Shape shapes[] = {{6, 4, 5, 10, T{1}, T{0}, false},
                           {1, 1, 1, 3, T{2}, T{1}, false},
                           {3, 2, 4, 9, T{2}, T{1}, false},
+                          {3, 2, 4, 17, T{2}, T{1}, false},
                           {7, 5, 6, 4, T{2}, T{1}, false},
                           {33, 21, 17, 3, T{2}, T{1}, false},
                           {6, 4, 5, 8, T{2}, T{1}, true}};
@@ -102,8 +107,11 @@ TYPED_TEST(BatchedTyped, GemmStridedBatched) {
       ConstMatrixView<T> bi(b.data() + i * stride_b, k, n, k);
       MatrixView<T> ci{c_ref.data() + i * m * n, m, n, m};
       gemm<T>(Op::N, Op::N, sh.alpha, ai, bi, sh.beta, ci);
+      EXPECT_EQ(std::memcmp(c.data() + i * m * n, ci.data,
+                            static_cast<std::size_t>(m * n) * sizeof(T)),
+                0)
+          << "problem " << i;
     }
-    EXPECT_LE(rel_error<T>(flat(c), flat(c_ref)), real_t<T>(1e-5));
   }
 }
 

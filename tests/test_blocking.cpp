@@ -61,11 +61,10 @@ const bool g_env_ready = [] {
 std::string blocking_records() {
   std::string out;
   auto add = [&out](const char* type, const ResolvedBlocking& rb) {
-    for (index_t v : {rb.mr, rb.nr, rb.mc, rb.kc, rb.nc, rb.trsm_nb, rb.qr_nb,
-                      rb.batch_simd_width})
+    for (index_t v : {rb.mr, rb.nr, rb.mc, rb.kc, rb.nc, rb.trsm_nb, rb.qr_nb})
       out += std::to_string(static_cast<long long>(v)) + " ";
     for (BlockingSource src : {rb.tile_src, rb.mc_src, rb.kc_src, rb.nc_src,
-                               rb.trsm_src, rb.qr_src, rb.batch_src})
+                               rb.trsm_src, rb.qr_src})
       out += std::string(blocking_source_name(src)) + " ";
     out += std::string(type) + "\n";
   };
@@ -112,7 +111,7 @@ const bool g_helmholtz_child = [] {
 constexpr const char* kBlockingVars[] = {
     "HODLRX_AUTOTUNE", "HODLRX_GEMM_TILE", "HODLRX_GEMM_MC",
     "HODLRX_GEMM_KC",  "HODLRX_GEMM_NC",   "HODLRX_TRSM_NB",
-    "HODLRX_QR_NB",    "HODLRX_BATCH_SIMD"};
+    "HODLRX_QR_NB"};
 
 /// Clean-slate guard: clears every blocking variable on entry AND exit, and
 /// re-resolves, so tests cannot leak state into each other (or inherit the

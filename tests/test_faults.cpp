@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "batched/interleave.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
@@ -88,27 +87,6 @@ TEST(WorkspaceFault, AllocFailureDropsSlotsAndRetries) {
   EXPECT_EQ(fault_stats::recovered(Site::kWorkspaceAlloc), 1u);
   // Steady state afterwards: same request, no growth, no second firing.
   double* q = arena.get<double>(count, WorkspaceArena::kScratch);
-  EXPECT_EQ(p, q);
-  EXPECT_EQ(fault_stats::injected(Site::kWorkspaceAlloc), 1u);
-}
-
-// The across-batch SIMD staging slot (interleave_workspace -> kInterleave)
-// grows through the SAME fault-covered path: an injected allocation failure
-// drops every slot and the retry succeeds, with injected == recovered.
-TEST(WorkspaceFault, InterleaveSlotGrowthIsFaultCovered) {
-  ScopedEnv env("HODLRX_FAULT", "workspace.alloc");
-  fault_stats::reset();
-  WorkspaceArena& arena = WorkspaceArena::local();
-  const std::size_t count = arena.bytes() / sizeof(double) + 2048;
-  double* p = interleave_workspace<double>(count);
-  ASSERT_NE(p, nullptr);
-  p[0] = 1.0;
-  p[count - 1] = 2.0;
-  EXPECT_EQ(fault_stats::injected(Site::kWorkspaceAlloc), 1u);
-  EXPECT_EQ(fault_stats::recovered(Site::kWorkspaceAlloc), 1u);
-  EXPECT_EQ(fault_stats::injected(), fault_stats::recovered());
-  // Steady state: the grown slot is reused without a second growth/firing.
-  double* q = interleave_workspace<double>(count);
   EXPECT_EQ(p, q);
   EXPECT_EQ(fault_stats::injected(Site::kWorkspaceAlloc), 1u);
 }

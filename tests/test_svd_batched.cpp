@@ -2,6 +2,7 @@
 
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "batched/batched_blas.hpp"
@@ -131,14 +132,17 @@ TYPED_TEST(SvdBatchedTyped, SerialMatchesReferenceIncludingWideFlip) {
 
 /// The sweep-synchronized batched driver must match the per-block reference
 /// on every problem of a mixed batch (padded, non-contiguous stride), for
-/// all four scalar types.
+/// all four scalar types, and give each problem bitwise the U, s and V it
+/// gets as a batch of one: a problem's bits may not depend on its batch.
 TYPED_TEST(SvdBatchedTyped, StridedBatchedMatchesPerBlockReference) {
   using T = TypeParam;
   using R = real_t<T>;
-  const index_t shapes[][2] = {{48, 16}, {32, 32}, {20, 1}, {7, 5}};
+  const index_t cases[][3] = {{48, 16, 9},  {32, 32, 9},  {20, 1, 9},
+                              {7, 5, 9},    {48, 16, 17}, {32, 32, 17},
+                              {20, 1, 17},  {7, 5, 17}};  // m, n, batch
   std::uint64_t seed = 5000;
-  for (auto& [m, n] : shapes) {
-    const index_t batch = 9, stride = m * n + 5;  // padded, non-contiguous
+  for (auto& [m, n, batch] : cases) {
+    const index_t stride = m * n + 5;  // padded, non-contiguous
     std::vector<Matrix<T>> blocks = make_blocks<T>(m, n, batch, seed += 40);
     std::vector<T> buf(static_cast<std::size_t>(stride) * batch, T{});
     for (index_t i = 0; i < batch; ++i)
@@ -168,6 +172,16 @@ TYPED_TEST(SvdBatchedTyped, StridedBatchedMatchesPerBlockReference) {
                     blocks[i].view()),
                 10 * tol<T>())
           << "problem " << i << " of " << m << "x" << n;
+      Matrix<T> u1 = to_matrix(blocks[i].view()), v1(n, n);
+      std::vector<R> s1(static_cast<std::size_t>(n));
+      jacobi_svd_strided_batched<T>(u1.data(), m, m * n, m, n, s1.data(), n,
+                                    v1.data(), n, n * n, 1);
+      EXPECT_EQ(std::memcmp(u1.data(), ui.data, u1.bytes()), 0)
+          << "U of problem " << i << " of " << batch;
+      EXPECT_EQ(std::memcmp(s1.data(), sig.data() + i * n, n * sizeof(R)), 0)
+          << "s of problem " << i << " of " << batch;
+      EXPECT_EQ(std::memcmp(v1.data(), vi.data, v1.bytes()), 0)
+          << "V of problem " << i << " of " << batch;
     }
   }
 }
@@ -214,7 +228,7 @@ TEST(SvdBatched, ZeroRankAndEmptyEdges) {
 
 /// The sweep budget comes from HODLRX_SVD_SWEEPS through the shared env
 /// parser (reread per call), and exhausting it is never silent: the result
-/// reports converged = false, svd_stats counts it, and debug builds throw.
+/// reports converged = false and svd_stats counts it, in every build type.
 TEST(SvdBatched, SweepBudgetEnvOverrideAndNonConvergenceReporting) {
   unsetenv("HODLRX_SVD_SWEEPS");    // hermetic against the caller's env
   ASSERT_EQ(svd_max_sweeps(), 42);  // default
@@ -222,13 +236,9 @@ TEST(SvdBatched, SweepBudgetEnvOverrideAndNonConvergenceReporting) {
   EXPECT_EQ(svd_max_sweeps(), 1);
   Matrix<double> a = random_matrix<double>(16, 12, 999);
   svd_stats::reset();
-#ifndef NDEBUG
-  EXPECT_THROW(jacobi_svd<double>(a), Error);
-#else
   SVDResult<double> r = jacobi_svd<double>(a);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.sweeps, 1);
-#endif
   EXPECT_EQ(svd_stats::nonconverged(), 1u);
   unsetenv("HODLRX_SVD_SWEEPS");
   EXPECT_EQ(svd_max_sweeps(), 42);
