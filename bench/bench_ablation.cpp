@@ -4,9 +4,13 @@
 ///      data structure): we count launches and model GPU-like latencies.
 ///   2. Single vs double precision (the ~2x claim of Sec. IV-B).
 ///   3. Dense LU crossover at small N (the O(N^3) baseline of Sec. I-A).
+///   4. The subtree cut of the batched sweeps: factor and 32-RHS solve
+///      times at every cut level, the rule's cut marked. Run with
+///      HODLRX_NUM_THREADS=1 for the one-thread figures.
 
 #include "baseline/dense_solver.hpp"
 #include "bench_util.hpp"
+#include "common/parallel.hpp"
 #include "kernels/kernels.hpp"
 
 using namespace hodlrx;
@@ -41,8 +45,15 @@ int main(int argc, char** argv) {
     DeviceContext::global().reset_counters();
     auto f = HodlrFactorization<double>::factor(p, {});
     const auto batched_launches = DeviceContext::global().launches();
-    std::printf("[1] device launches, batched factorization: %llu\n",
-                static_cast<unsigned long long>(batched_launches));
+    // Below the subtree cut every task issues its own launches for its
+    // subtree's leaves and levels; the levels above it launch once each.
+    std::printf("[1] device launches, batched factorization: %llu "
+                "(subtree cut at level %lld of %lld)\n",
+                static_cast<unsigned long long>(batched_launches),
+                static_cast<long long>(detail::subtree_cut(
+                    h.tree(), 2 * static_cast<std::size_t>(p.total_cols) *
+                                 sizeof(double))),
+                static_cast<long long>(h.tree().depth()));
     // Per-node execution would launch ~4 kernels per node:
     const unsigned long long per_node =
         4ull * static_cast<unsigned long long>(h.tree().num_nodes());
@@ -96,6 +107,26 @@ int main(int argc, char** argv) {
                   static_cast<long long>(nn), fast.tf, dense_tf,
                   dense_tf / fast.tf);
     }
+  }
+  // --- 4. subtree cut sweep ----------------------------------------------
+  {
+    const index_t depth = h.tree().depth();
+    const index_t rule = detail::subtree_cut(
+        h.tree(), 2 * static_cast<std::size_t>(p.total_cols) * sizeof(double));
+    std::printf("\n[4] subtree cut of the batched sweeps (%d pool threads; "
+                "cut %lld is the plain level sweep):\n",
+                max_threads(), static_cast<long long>(depth));
+    Matrix<double> b32 = random_matrix<double>(n, 32, 41);
+    for (index_t lc = 0; lc <= depth; ++lc) {
+      detail::force_subtree_cut(lc);
+      bench::SolverStats st = bench::bench_packed(
+          h, p, ExecMode::kBatched, ConstMatrixView<double>(b32),
+          args.repeats);
+      std::printf("    cut %2lld  tf %.4f s  32-RHS ts %.4f s%s\n",
+                  static_cast<long long>(lc), st.tf, st.ts,
+                  lc == rule ? "  <- rule" : "");
+    }
+    detail::force_subtree_cut(-1);
   }
   return 0;
 }

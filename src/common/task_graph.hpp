@@ -4,7 +4,7 @@
 
 /// \file task_graph.hpp
 /// Constant stand-ins for the retired dependency-graph scheduler's mode
-/// query and counters. Every batched sweep runs level-synchronously, so the
+/// query and counters. No batched sweep uses a dependency graph, so the
 /// mode is always "levels" and the graph counters are always 0.
 ///
 /// Only pipebench/pipeline.cpp reads these (its `sched` run-record field and

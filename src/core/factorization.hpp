@@ -25,7 +25,22 @@ namespace hodlrx {
 namespace detail {
 template <typename T>
 struct FactorEngine;
-}
+
+/// The cut level lc of the batched sweeps (factor_batched.cpp): below it
+/// one pool task per node of level lc factors or solves its subtree; steps
+/// lc-1..0 stay level-synchronous. The rule picks the coarsest level that
+/// has at least four subtrees per pool thread and whose largest subtree's
+/// rows, `row_bytes` each, fit in the probed L2 cache; the depth, which is
+/// the plain level sweep, when no level does. Both sweeps pass the bytes of
+/// a row of Y and V (2 * total_cols scalars). The cut never changes a bit of
+/// the factors or solutions.
+index_t subtree_cut(const ClusterTree& tree, std::size_t row_bytes);
+
+/// For tests and the cut sweep of bench_ablation: every later batched
+/// factor and solve cuts at min(lc, depth) instead of subtree_cut's rule;
+/// lc < 0 restores the rule.
+void force_subtree_cut(index_t lc);
+}  // namespace detail
 
 template <typename T>
 class HodlrFactorization {

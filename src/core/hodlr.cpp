@@ -18,17 +18,19 @@ namespace hodlrx {
 
 namespace {
 
-/// Fold the batched recompression's core-SVD breakdowns into the report:
-/// svd_nonconverged counts every problem that exhausted the sweep budget
-/// (healed or not), svd_recovered the ones the serial re-run healed.
-void fold_svd_breakdowns(const SvdBatchInfo& info, FactorReport* report) {
+/// Fold the recompression's core-SVD breakdowns (`path`: "batched" or
+/// "per-block") into the report: svd_nonconverged counts every problem that
+/// exhausted the sweep budget (healed or not), svd_recovered the ones the
+/// serial re-run healed.
+void fold_svd_breakdowns(const SvdBatchInfo& info, const char* path,
+                         FactorReport* report) {
   if (report == nullptr) return;
   const index_t exhausted = info.nonconverged + info.recovered;
   if (exhausted == 0) return;
   report->svd_nonconverged += exhausted;
   report->svd_recovered += info.recovered;
   report->events.push_back(
-      "build: batched svd exhausted its sweep budget on " +
+      "build: " + std::string(path) + " svd exhausted its sweep budget on " +
       std::to_string(exhausted) + " problem(s), " +
       std::to_string(info.recovered) + " recovered by the serial re-run");
 }
@@ -257,8 +259,11 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
   const index_t num_leaves = tree.num_leaves();
   std::vector<std::string> errors(num_offdiag + num_leaves);
   // Per-task stall flags, resolved serially after the loop (the recovery
-  // ladder re-compresses stalled blocks; see below).
+  // ladder re-compresses stalled blocks; see below), and per-task flags of
+  // per-block recompressions whose core SVD exhausted its sweep budget
+  // (kept under kReport and kRecover, counted in the report).
   std::vector<char> stalled(num_offdiag, 0);
+  std::vector<char> svd_missed(num_offdiag, 0);
   parallel_for(num_offdiag + num_leaves, [&](index_t task) {
     try {
       if (task < num_offdiag) {
@@ -274,9 +279,15 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
                                                            << ")");
         if (!res.converged) stalled[task] = 1;
         if (res.converged && opt.recompress && res.factor.rank() > 0 &&
-            !level_batched[ClusterTree::level_of(nu)])
-          recompress(res.factor, static_cast<real_t<T>>(opt.tol),
-                     opt.max_rank);
+            !level_batched[ClusterTree::level_of(nu)]) {
+          const RecompressResult rc = recompress(
+              res.factor, static_cast<real_t<T>>(opt.tol), opt.max_rank);
+          if (opt.on_breakdown == OnBreakdown::kThrow)
+            HODLRX_REQUIRE(rc.converged,
+                           "recompression core SVD did not converge on block ("
+                               << nu << ", " << sib << ")");
+          if (!rc.converged) svd_missed[task] = 1;
+        }
         // Rows of the block live on nu -> U_nu; columns on sib -> V_sib.
         st.u[nu] = std::move(res.factor.u);
         st.v[sib] = std::move(res.factor.v);
@@ -295,6 +306,10 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
   parallel_for_static(max_threads(), [](index_t) { aca_release_panels(); });
   for (const auto& e : errors)
     HODLRX_REQUIRE(e.empty(), "HodlrMatrix::build failed: " << e);
+  SvdBatchInfo per_block;
+  per_block.nonconverged = static_cast<index_t>(
+      std::count(svd_missed.begin(), svd_missed.end(), 1));
+  fold_svd_breakdowns(per_block, "per-block", report);
   // Recovery ladder for stalled / non-converged ACA blocks: materialize the
   // block (it never formed during the cross search) and re-compress it
   // through rsvd, whose GEMMs and QRs run on the pool, so a stall in the
@@ -379,7 +394,7 @@ HodlrMatrix<T> HodlrMatrix<T>::build(const MatrixGenerator<T>& g,
     fold_svd_breakdowns(
         recompress_batched<T>(fs, static_cast<real_t<T>>(opt.tol),
                               opt.max_rank, opt.on_breakdown),
-        report);
+        "batched", report);
     for (index_t t = 0; t < count; ++t) {
       const index_t nu = begin + t;
       st.u[nu] = std::move(fs[static_cast<std::size_t>(t)].u);

@@ -1,5 +1,6 @@
 #include "lowrank/recompress.hpp"
 
+#include <algorithm>
 #include <complex>
 #include <vector>
 
@@ -51,11 +52,11 @@ void scale_columns(MatrixView<T> w, const real_t<T>* s) {
 }  // namespace
 
 template <typename T>
-index_t recompress(LowRankFactor<T>& factor, real_t<T> tol,
-                   index_t max_rank) {
+RecompressResult recompress(LowRankFactor<T>& factor, real_t<T> tol,
+                            index_t max_rank) {
   using R = real_t<T>;
   const index_t r = factor.rank();
-  if (r == 0) return 0;
+  if (r == 0) return {};
   Matrix<T> ru(r, r), rv(r, r);
   if (!gram_cholesky<T>(factor.u, ru.view()) ||
       !gram_cholesky<T>(factor.v, rv.view())) {
@@ -72,7 +73,7 @@ index_t recompress(LowRankFactor<T>& factor, real_t<T> tol,
   Matrix<T> zk = to_matrix(svd.v.block(0, 0, r, k));
   factor.u = truncated_side<T>(factor.u, ru, wk.view());
   factor.v = truncated_side<T>(factor.v, rv, zk.view());
-  return k;
+  return {k, svd.converged};
 }
 
 template <typename T>
@@ -133,7 +134,7 @@ SvdBatchInfo recompress_batched(std::span<LowRankFactor<T>> factors,
                           rhat, slot, batch);
   std::vector<R> sig(static_cast<std::size_t>(rhat) * batch);
   Matrix<T> z(rhat, rhat * batch);
-  const SvdBatchInfo info = jacobi_svd_strided_batched<T>(
+  SvdBatchInfo info = jacobi_svd_strided_batched<T>(
       core.data(), rhat, slot, rhat, rhat, sig.data(), rhat, z.data(), rhat,
       slot, batch, /*recover=*/on_breakdown == OnBreakdown::kRecover);
   HODLRX_REQUIRE(on_breakdown != OnBreakdown::kThrow || info.nonconverged == 0,
@@ -168,22 +169,33 @@ SvdBatchInfo recompress_batched(std::span<LowRankFactor<T>> factors,
 
   if (fallback.empty()) return info;
   qr_stats::detail::add_cholesky_fallbacks(fallback.size());
+  std::vector<char> converged(fallback.size());
   parallel_for(static_cast<index_t>(fallback.size()), [&](index_t j) {
     const index_t i = fallback[static_cast<std::size_t>(j)];
-    detail::recompress_householder<T>(factors[static_cast<std::size_t>(i)],
-                                      tol, max_rank);
+    converged[static_cast<std::size_t>(j)] =
+        detail::recompress_householder<T>(
+            factors[static_cast<std::size_t>(i)], tol, max_rank)
+                .converged
+            ? 1
+            : 0;
   });
+  const auto missed = static_cast<index_t>(
+      std::count(converged.begin(), converged.end(), 0));
+  HODLRX_REQUIRE(on_breakdown != OnBreakdown::kThrow || missed == 0,
+                 "recompress_batched: " << missed << " Householder core SVD(s)"
+                                        << " did not converge");
+  info.nonconverged += missed;
   return info;
 }
 
 namespace detail {
 
 template <typename T>
-index_t recompress_householder(LowRankFactor<T>& factor, real_t<T> tol,
-                               index_t max_rank) {
+RecompressResult recompress_householder(LowRankFactor<T>& factor,
+                                        real_t<T> tol, index_t max_rank) {
   using R = real_t<T>;
   const index_t m = factor.rows(), n = factor.cols(), r = factor.rank();
-  if (r == 0) return 0;
+  if (r == 0) return {};
 
   QRFactors<T> qu = geqrf<T>(factor.u);
   QRFactors<T> qv = geqrf<T>(factor.v);
@@ -211,17 +223,18 @@ index_t recompress_householder(LowRankFactor<T>& factor, real_t<T> tol,
   }
   factor.u = std::move(u_new);
   factor.v = std::move(v_new);
-  return k;
+  return {k, svd.converged};
 }
 
 }  // namespace detail
 
 #define HODLRX_INSTANTIATE_RECOMPRESS(T)                                   \
-  template index_t recompress<T>(LowRankFactor<T>&, real_t<T>, index_t);   \
+  template RecompressResult recompress<T>(LowRankFactor<T>&, real_t<T>,   \
+                                          index_t);                       \
   template SvdBatchInfo recompress_batched<T>(                             \
       std::span<LowRankFactor<T>>, real_t<T>, index_t, OnBreakdown);       \
-  template index_t detail::recompress_householder<T>(LowRankFactor<T>&,    \
-                                                     real_t<T>, index_t);
+  template RecompressResult detail::recompress_householder<T>(             \
+      LowRankFactor<T>&, real_t<T>, index_t);
 
 HODLRX_INSTANTIATE_RECOMPRESS(float)
 HODLRX_INSTANTIATE_RECOMPRESS(double)

@@ -31,12 +31,21 @@
 
 namespace hodlrx {
 
+/// What one recompression did: the new rank, and whether its core SVD
+/// converged within the sweep budget (svd_max_sweeps). An unconverged core
+/// still yields a truncated factor; the caller's breakdown policy decides
+/// whether to keep it.
+struct RecompressResult {
+  index_t rank = 0;
+  bool converged = true;
+};
+
 /// In-place: factor <- truncated factor. `tol` is relative to the largest
 /// singular value of the CORE (truncate_rank semantics); `max_rank < 0`
-/// means uncapped. Returns the new rank.
+/// means uncapped.
 template <typename T>
-index_t recompress(LowRankFactor<T>& factor, real_t<T> tol,
-                   index_t max_rank = -1);
+RecompressResult recompress(LowRankFactor<T>& factor, real_t<T> tol,
+                            index_t max_rank = -1);
 
 /// Batched recompression of factors with UNIFORM outer shape (equal
 /// rows/cols; ranks may differ). Gram GEMMs, Cholesky factors and the final
@@ -51,7 +60,9 @@ index_t recompress(LowRankFactor<T>& factor, real_t<T> tol,
 /// Core SVDs that exhaust the sweep budget follow `on_breakdown`: kRecover
 /// re-runs them serially with a larger budget, kReport keeps their
 /// unconverged factors, kThrow throws. The returned info counts them
-/// (SvdBatchInfo::nonconverged and recovered) for the caller's report.
+/// (SvdBatchInfo::nonconverged and recovered) for the caller's report,
+/// together with unconverged cores of the Householder rung, which is not
+/// re-run.
 template <typename T>
 SvdBatchInfo recompress_batched(
     std::span<LowRankFactor<T>> factors, real_t<T> tol,
@@ -62,8 +73,8 @@ namespace detail {
 /// factors, SVD the core R_U R_V^H, truncate, and form Q_U (W_k S_k) and
 /// Q_V Z_k from the explicit thin Qs. Robust to dependent columns.
 template <typename T>
-index_t recompress_householder(LowRankFactor<T>& factor, real_t<T> tol,
-                               index_t max_rank = -1);
+RecompressResult recompress_householder(LowRankFactor<T>& factor,
+                                        real_t<T> tol, index_t max_rank = -1);
 }  // namespace detail
 
 }  // namespace hodlrx

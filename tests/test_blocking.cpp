@@ -20,6 +20,7 @@
 #include "common/trsm_kernel.hpp"
 #include "common/workspace.hpp"
 #include "core/factorization.hpp"
+#include "kernels/kernels.hpp"
 #include "reference/trsm_reference.hpp"
 #include "test_util.hpp"
 
@@ -102,6 +103,36 @@ const bool g_helmholtz_child = [] {
       HodlrMatrix<C>::build(gen, ClusterTree::uniform(1024, 64));
   const auto f = HodlrFactorization<C>::factor(PackedHodlr<C>::pack(h));
   const Matrix<C> x = f.solve(random_matrix<C>(1024, 1, 5));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(x.data());
+  for (std::size_t i = 0; i < x.bytes(); ++i) std::printf("%02x", bytes[i]);
+  std::fflush(stdout);
+  std::_Exit(0);
+}();
+
+/// Child mode of Determinism.SubtreePhaseSolveIdenticalAcrossThreadCounts:
+/// with HODLRX_TEST_SUBTREE_THREADS=<t> set, this binary factors a Gaussian
+/// kernel matrix on 12000 k-d points (leaf 32: depth 9, irregular levels)
+/// on a pool of t threads, prints the subtree cut the rule picks and the
+/// depth on one line, then the 1-RHS solution bytes in hex, and exits
+/// before any test runs.
+const bool g_subtree_child = [] {
+  const char* threads = std::getenv("HODLRX_TEST_SUBTREE_THREADS");
+  if (threads == nullptr) return false;
+  setenv("HODLRX_NUM_THREADS", threads, 1);
+  const index_t n = 12000;
+  GeometricTree g = build_kd_tree(uniform_random_points(n, 1, -1, 1, 13), 32);
+  const GaussianKernel<double> k(std::move(g.points), 0.5, 1e-2);
+  BuildOptions bopt;
+  bopt.tol = 1e-10;
+  const HodlrMatrix<double> h = HodlrMatrix<double>::build(k, g.tree, bopt);
+  const auto f =
+      HodlrFactorization<double>::factor(PackedHodlr<double>::pack(h));
+  const Matrix<double> x = f.solve(random_matrix<double>(n, 1, 17));
+  const auto total_cols = static_cast<std::size_t>(h.layout().total_cols);
+  std::printf("%lld %lld\n",
+              static_cast<long long>(
+                  detail::subtree_cut(g.tree, 2 * total_cols * sizeof(double))),
+              static_cast<long long>(g.tree.depth()));
   const auto* bytes = reinterpret_cast<const unsigned char*>(x.data());
   for (std::size_t i = 0; i < x.bytes(); ++i) std::printf("%02x", bytes[i]);
   std::fflush(stdout);
@@ -497,6 +528,34 @@ TEST(Determinism, HelmholtzSolveIdenticalAcrossThreadCounts) {
   ASSERT_EQ(one.size(), 2u * 1024 * sizeof(std::complex<double>))
       << "child process produced no solution";
   EXPECT_EQ(one, four);
+}
+
+/// The subtree phase of the batched sweeps does not depend on the pool
+/// size: a problem whose rule-picked cut lies strictly inside the tree
+/// gives the same solution bytes on 1, 3 and 4 threads. The cut itself
+/// moves with the pool size (at least four subtrees per thread), so this
+/// also covers different cuts, and 3 threads split the subtree tasks
+/// unevenly.
+TEST(Determinism, SubtreePhaseSolveIdenticalAcrossThreadCounts) {
+  ASSERT_FALSE(g_subtree_child);
+  std::string first;
+  for (const char* threads : {"1", "3", "4"}) {
+    const std::string out =
+        child_output("HODLRX_TEST_SUBTREE_THREADS", threads);
+    const std::size_t eol = out.find('\n');
+    ASSERT_NE(eol, std::string::npos) << "child process produced no output";
+    long long cut = -1, depth = -1;
+    ASSERT_EQ(std::sscanf(out.c_str(), "%lld %lld", &cut, &depth), 2);
+    EXPECT_GT(cut, 0) << threads << " threads";
+    EXPECT_LT(cut, depth) << threads << " threads";
+    const std::string solution = out.substr(eol + 1);
+    ASSERT_EQ(solution.size(), 2u * 12000 * sizeof(double))
+        << "child process produced no solution";
+    if (first.empty())
+      first = solution;
+    else
+      EXPECT_EQ(solution, first) << threads << " threads";
+  }
 }
 
 /// Dispatch is stable: repeated serial, batched and stream launches do not

@@ -150,19 +150,28 @@ TEST(Factorization, DepthZeroDegeneratesToDenseLU) {
   }
 }
 
-TEST(Factorization, BlockDiagonalRankZeroLevels) {
-  using T = double;
-  const index_t n = 128;
+/// A diagonal matrix plus dense diagonal leaf blocks of `tree`: every
+/// off-diagonal block is zero, so every level has rank 0.
+template <typename T>
+Matrix<T> block_diagonal_matrix(const ClusterTree& tree) {
+  const index_t n = tree.n();
   Matrix<T> a(n, n);
-  for (index_t i = 0; i < n; ++i) a(i, i) = 3.0 + 0.01 * i;
+  for (index_t i = 0; i < n; ++i) a(i, i) = T(3.0 + 0.01 * i);
   // Add dense diagonal leaf blocks so leaves are nontrivial.
-  ClusterTree tree = ClusterTree::uniform(n, 16);
   for (index_t j = 0; j < tree.num_leaves(); ++j) {
     const ClusterNode& c = tree.node(tree.leaf(j));
     for (index_t jj = c.begin; jj < c.end; ++jj)
       for (index_t ii = c.begin; ii < c.end; ++ii)
-        a(ii, jj) += 0.1 / (1.0 + std::abs(ii - jj));
+        a(ii, jj) += T(0.1 / (1.0 + std::abs(ii - jj)));
   }
+  return a;
+}
+
+TEST(Factorization, BlockDiagonalRankZeroLevels) {
+  using T = double;
+  const index_t n = 128;
+  ClusterTree tree = ClusterTree::uniform(n, 16);
+  Matrix<T> a = block_diagonal_matrix<T>(tree);
   HodlrMatrix<T> h = HodlrMatrix<T>::build_from_dense(a, tree, {});
   EXPECT_EQ(h.max_rank(), 0);
   for (ExecMode mode : {ExecMode::kSerial, ExecMode::kBatched}) {
@@ -286,6 +295,93 @@ TEST(Factorization, OneRhsSolveAndApplyNeverPack) {
   EXPECT_EQ(gemm_stats::a_packs(), 0u);
   EXPECT_EQ(gemm_stats::b_packs(), 0u);
   EXPECT_LE(rel_error(ax, b), 1e-8);
+}
+
+/// Forces the batched engine's subtree cut for one scope.
+class ScopedCut {
+ public:
+  explicit ScopedCut(index_t lc) { detail::force_subtree_cut(lc); }
+  ~ScopedCut() { detail::force_subtree_cut(-1); }
+  ScopedCut(const ScopedCut&) = delete;
+  ScopedCut& operator=(const ScopedCut&) = delete;
+};
+
+/// The bytes a batched factorization of `p` gives at cut `lc` (-1: the
+/// rule's cut): the solution of a 1-RHS solve, the solution of a 5-column
+/// solve into a submatrix view (ld > rows), and the log-determinant.
+template <typename T>
+std::vector<unsigned char> cut_bytes(const PackedHodlr<T>& p, index_t lc) {
+  const ScopedCut cut(lc);
+  const auto f = HodlrFactorization<T>::factor(p);
+  const index_t n = f.n();
+  Matrix<T> x1 = random_matrix<T>(n, 1, 97);
+  f.solve_inplace(x1.view());
+  Matrix<T> big(n + 7, 6);
+  MatrixView<T> x5 = big.block(3, 1, n, 5);
+  copy<T>(random_matrix<T>(n, 5, 98).view(), x5);
+  f.solve_inplace(x5);
+  const auto ld = f.logdet();
+  std::vector<unsigned char> out;
+  auto add = [&out](const void* data, std::size_t size) {
+    const auto* c = static_cast<const unsigned char*>(data);
+    out.insert(out.end(), c, c + size);
+  };
+  add(x1.data(), x1.bytes());
+  for (index_t j = 0; j < 5; ++j)
+    add(x5.data + j * x5.ld, static_cast<std::size_t>(n) * sizeof(T));
+  add(&ld.log_abs, sizeof ld.log_abs);
+  add(&ld.phase, sizeof ld.phase);
+  return out;
+}
+
+/// Every cut lc = 0..L and the rule's own cut give the bytes of lc = L, the
+/// plain level sweep.
+template <typename T>
+void expect_cut_invariant(const Matrix<T>& a, const ClusterTree& tree,
+                          const char* what) {
+  BuildOptions bopt;
+  bopt.tol = std::is_same_v<real_t<T>, float> ? 1e-5 : 1e-10;
+  const PackedHodlr<T> p =
+      PackedHodlr<T>::pack(HodlrMatrix<T>::build_from_dense(a, tree, bopt));
+  const index_t depth = tree.depth();
+  const std::vector<unsigned char> ref = cut_bytes(p, depth);
+  for (index_t lc = -1; lc < depth; ++lc) {
+    const std::vector<unsigned char> got = cut_bytes(p, lc);
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size()), 0)
+        << what << ", cut " << lc << " of depth " << depth;
+  }
+}
+
+template <typename T>
+void expect_cut_invariant_all_trees() {
+  // Uniform, depth 6: cuts 3..5 run 8-32 subtree tasks at once.
+  const ClusterTree uniform = ClusterTree::uniform(768, 12);
+  ASSERT_EQ(uniform.depth(), 6);
+  expect_cut_invariant(test::smooth_test_matrix<T>(768, 101), uniform,
+                       "uniform");
+  // k-d tree of 2-D points: its levels 4 and 5 are irregular.
+  const GeometricTree kd =
+      build_kd_tree(uniform_random_points(600, 2, -1, 1, 103), 20);
+  ASSERT_EQ(kd.tree.depth(), 5);
+  ASSERT_NE(kd.tree.node(ClusterTree::level_begin(4)).size(),
+            kd.tree.node(ClusterTree::level_begin(4) + 1).size());
+  expect_cut_invariant(test::smooth_test_matrix<T>(600, 107), kd.tree, "k-d");
+  const ClusterTree blocks = ClusterTree::uniform(128, 16);
+  expect_cut_invariant(block_diagonal_matrix<T>(blocks), blocks, "rank 0");
+  for (index_t depth : {0, 1})
+    expect_cut_invariant(test::smooth_test_matrix<T>(96, 109),
+                         ClusterTree::with_depth(96, depth), "shallow");
+}
+
+/// The subtree phase's cut never changes a bit (factor_batched.cpp): one
+/// pool task per subtree runs the same per-problem kernels on the same
+/// operands as the level-synchronous launches.
+TEST(Factorization, SubtreeCutIsBitwiseInvariant) {
+  expect_cut_invariant_all_trees<float>();
+  expect_cut_invariant_all_trees<double>();
+  expect_cut_invariant_all_trees<std::complex<float>>();
+  expect_cut_invariant_all_trees<std::complex<double>>();
 }
 
 TEST(Factorization, WrongRhsSizeThrows) {

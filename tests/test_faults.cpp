@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/lapack.hpp"
 #include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "common/workspace.hpp"
@@ -209,6 +210,49 @@ TEST(SvdSweepsFault, ThrowPolicyRaises) {
   EXPECT_THROW(HodlrMatrix<double>::build_from_dense(a, tree, bopt), Error);
   EXPECT_EQ(fault_stats::injected(Site::kSvdSweeps), 1u);
   EXPECT_EQ(fault_stats::recovered(), 0u);
+}
+
+/// A tree with no uniform level (255 rows: every level splits one node
+/// unevenly), so the build recompresses every block inside its ACA task,
+/// through the per-block path.
+ClusterTree all_irregular_tree() {
+  ClusterTree tree = ClusterTree::uniform(255, 20);
+  for (index_t l = 1; l <= tree.depth(); ++l)
+    EXPECT_NE(tree.node(ClusterTree::level_begin(l)).size(),
+              tree.node(ClusterTree::level_begin(l) + 1).size())
+        << "level " << l;
+  return tree;
+}
+
+/// One Jacobi sweep per core: the per-block recompressions' core SVDs
+/// exhaust their budget, and the report counts every one of them.
+TEST(SvdSweepsFault, PerBlockReportCountsEveryCore) {
+  ScopedEnv fault_env("HODLRX_FAULT", nullptr);
+  ScopedEnv env("HODLRX_SVD_SWEEPS", "1");
+  Matrix<double> a = test::smooth_test_matrix<double>(255, 619);
+  BuildOptions bopt;
+  bopt.tol = 1e-10;
+  bopt.on_breakdown = OnBreakdown::kReport;
+  FactorReport rep;
+  const std::uint64_t before = svd_stats::nonconverged();
+  HodlrMatrix<double>::build_from_dense(a, all_irregular_tree(), bopt, &rep);
+  const std::uint64_t missed = svd_stats::nonconverged() - before;
+  EXPECT_GT(missed, 0u);
+  EXPECT_EQ(static_cast<std::uint64_t>(rep.svd_nonconverged), missed);
+  EXPECT_EQ(rep.svd_recovered, 0);
+  EXPECT_FALSE(rep.clean());
+}
+
+TEST(SvdSweepsFault, PerBlockThrowPolicyRaises) {
+  ScopedEnv fault_env("HODLRX_FAULT", nullptr);
+  ScopedEnv env("HODLRX_SVD_SWEEPS", "1");
+  Matrix<double> a = test::smooth_test_matrix<double>(255, 619);
+  BuildOptions bopt;
+  bopt.tol = 1e-10;
+  bopt.on_breakdown = OnBreakdown::kThrow;
+  EXPECT_THROW(
+      HodlrMatrix<double>::build_from_dense(a, all_irregular_tree(), bopt),
+      Error);
 }
 
 // ---------------------------------------------------------------------------

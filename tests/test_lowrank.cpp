@@ -255,7 +255,7 @@ TYPED_TEST(LowrankTyped, RecompressReducesRankKeepsProduct) {
   scale_inplace(scale, lr.v.view());
   Matrix<T> before = lr.reconstruct();
   const std::uint64_t fallbacks0 = qr_stats::cholesky_fallbacks();
-  const index_t new_rank = recompress(lr, real_t<T>(1e-12));
+  const index_t new_rank = recompress(lr, real_t<T>(1e-12)).rank;
   EXPECT_EQ(new_rank, true_r);
   EXPECT_LE(rel_error(lr.reconstruct(), before), 1e-10);
   EXPECT_EQ(qr_stats::cholesky_fallbacks(), fallbacks0 + 1)
@@ -276,8 +276,8 @@ void expect_gram_matches_householder(const MatrixGenerator<T>& g) {
   for (index_t level = 1; level <= 3; ++level) {
     for (LowRankFactor<T>& gram : test::aca_level<T>(g, tree, level)) {
       LowRankFactor<T> hh{to_matrix(gram.u.view()), to_matrix(gram.v.view())};
-      const index_t kg = recompress<T>(gram, tol);
-      const index_t kh = detail::recompress_householder<T>(hh, tol);
+      const index_t kg = recompress<T>(gram, tol).rank;
+      const index_t kh = detail::recompress_householder<T>(hh, tol).rank;
       EXPECT_EQ(kg, kh) << "level " << level;
       EXPECT_LE(rel_error(gram.reconstruct(), hh.reconstruct()), 1e-10)
           << "level " << level;
@@ -306,7 +306,7 @@ TEST(Recompress, RankZeroPassthrough) {
   LowRankFactor<double> lr;
   lr.u = Matrix<double>(10, 0);
   lr.v = Matrix<double>(8, 0);
-  EXPECT_EQ(recompress(lr, 1e-10), 0);
+  EXPECT_EQ(recompress(lr, 1e-10).rank, 0);
 }
 
 TYPED_TEST(LowrankTyped, ColumnIdReconstructs) {

@@ -248,6 +248,31 @@ TEST(SvdBatched, SweepBudgetEnvOverrideAndNonConvergenceReporting) {
   EXPECT_GT(ok.sweeps, 1);
 }
 
+/// A block of recompress_batched that leaves the Gram path is re-truncated
+/// by the Householder rung, whose core SVD is not re-run: starved to one
+/// sweep under kReport, the returned count still includes it, so it equals
+/// svd_stats' count of exhausted SVDs.
+TEST(SvdBatched, RecompressBatchedCountsHouseholderCores) {
+  test::ScopedEnv env("HODLRX_SVD_SWEEPS", "1");
+  const index_t m = 48, n = 36, batch = 3;
+  std::vector<LowRankFactor<double>> fs(batch);
+  for (index_t i = 0; i < batch; ++i) {
+    LowRankFactor<double>& f = fs[static_cast<std::size_t>(i)];
+    f.u = random_matrix<double>(m, 6, 500 + i);
+    f.v = random_matrix<double>(n, 6, 600 + i);
+  }
+  // Duplicated columns: problem 1 breaks the Gram Cholesky.
+  copy<double>(fs[1].u.view().block(0, 0, m, 1), fs[1].u.view().block(0, 2, m, 1));
+  qr_stats::reset();
+  const std::uint64_t before = svd_stats::nonconverged();
+  const SvdBatchInfo info =
+      recompress_batched<double>(fs, 1e-12, -1, OnBreakdown::kReport);
+  ASSERT_EQ(qr_stats::cholesky_fallbacks(), 1u);
+  EXPECT_GT(info.nonconverged, 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(info.nonconverged),
+            svd_stats::nonconverged() - before);
+}
+
 /// The ONE truncation rule shared by rsvd and recompress.
 TEST(SvdBatched, TruncateRankRule) {
   const double s[] = {10.0, 5.0, 1.0, 1e-9, 0.0};
@@ -304,7 +329,7 @@ TYPED_TEST(SvdBatchedTyped, RecompressBatchedMatchesSerial) {
   for (index_t i = 0; i < batch; ++i) {
     LowRankFactor<T>& s = serial[static_cast<std::size_t>(i)];
     const index_t k =
-        recompress<T>(s, std::is_same_v<R, float> ? R(1e-5) : R(1e-12));
+        recompress<T>(s, std::is_same_v<R, float> ? R(1e-5) : R(1e-12)).rank;
     EXPECT_EQ(fs[static_cast<std::size_t>(i)].rank(), k) << "problem " << i;
     EXPECT_LE(rel_error<T>(fs[static_cast<std::size_t>(i)].reconstruct(),
                            before[static_cast<std::size_t>(i)]),
@@ -318,7 +343,7 @@ TYPED_TEST(SvdBatchedTyped, RecompressBatchedMatchesSerial) {
   std::vector<LowRankFactor<T>> one(1);
   one[0].u = to_matrix(capped.u.view());
   one[0].v = to_matrix(capped.v.view());
-  EXPECT_EQ(recompress<T>(capped, R{0}, 3), 3);
+  EXPECT_EQ(recompress<T>(capped, R{0}, 3).rank, 3);
   recompress_batched<T>(one, R{0}, 3);
   EXPECT_EQ(one[0].rank(), 3);
 }
@@ -350,7 +375,8 @@ TYPED_TEST(SvdBatchedTyped, RecompressBatchedMixedBatchFallsBackPerBlock) {
       << "only the duplicated-column problem may leave the Gram path";
   for (index_t i = 0; i < batch; ++i) {
     const std::size_t s = static_cast<std::size_t>(i);
-    EXPECT_EQ(fs[s].rank(), recompress<T>(serial[s], tol)) << "problem " << i;
+    EXPECT_EQ(fs[s].rank(), recompress<T>(serial[s], tol).rank)
+        << "problem " << i;
     EXPECT_EQ(fs[s].rank(), i == bad ? 2 + i : 3 + i) << "problem " << i;
     EXPECT_LE(rel_error<T>(fs[s].reconstruct(), before[s]), rtol)
         << "problem " << i;
@@ -376,7 +402,8 @@ void expect_batched_gram_matches_householder(const MatrixGenerator<T>& g,
       hh.push_back({to_matrix(f.u.view()), to_matrix(f.v.view())});
     recompress_batched<T>(fs, tol);
     for (std::size_t i = 0; i < fs.size(); ++i) {
-      EXPECT_EQ(fs[i].rank(), detail::recompress_householder<T>(hh[i], tol))
+      EXPECT_EQ(fs[i].rank(),
+                detail::recompress_householder<T>(hh[i], tol).rank)
           << "level " << level << " block " << i;
       EXPECT_LE(rel_error<T>(fs[i].reconstruct(), hh[i].reconstruct()), 1e-10)
           << "level " << level << " block " << i;
